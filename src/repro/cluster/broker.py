@@ -37,13 +37,11 @@ release.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -59,9 +57,10 @@ from repro.cluster.planning import (
     zero_plan,
 )
 from repro.cluster.shard import ShardRuntime, build_shards
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import InfeasiblePlanError, PrivacyBudgetExceededError
+from repro.core.settle import SettleMixin, Trade
+from repro.errors import InfeasiblePlanError
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
@@ -259,7 +258,7 @@ class _ClusterPlannerView:
 
 
 @dataclass
-class ClusterBroker:
+class ClusterBroker(SettleMixin):
     """Scatter-gather ``(α, δ)``-range counting over shard runtimes.
 
     Parameters
@@ -276,6 +275,8 @@ class ClusterBroker:
         Optional :class:`~repro.cluster.health.ShardHealthMonitor`;
         when set, shards it has failed route straight to replicas.
     """
+
+    _prefix = "cluster"
 
     shards: "List[ShardRuntime]"
     pricing: PricingFunction
@@ -418,10 +419,6 @@ class ClusterBroker:
         with self._lock:
             return self._first_degraded_wall
 
-    def quote(self, spec: AccuracySpec) -> float:
-        """Cluster list price of an ``(α, δ)`` product."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
     # ------------------------------------------------------------------
     # range-aware routing
     # ------------------------------------------------------------------
@@ -503,17 +500,6 @@ class ClusterBroker:
 
         return cost
 
-    def _journal_trades(self, records: "list[dict]") -> None:
-        """Commit consolidated trades to the write-ahead journal.
-
-        Must run **before** ``policy.settle`` / ``accountant.charge_many``
-        / ``ledger.record_many`` and before any merged answer is returned
-        (journal-before-release, RL006).  No-op when no journal is
-        attached.
-        """
-        if self.journal is not None:
-            self.journal.append_many(records)
-
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) collection rounds on all shards, concurrently."""
         self._fan_out(lambda shard: shard.ensure_rate(p))
@@ -545,27 +531,7 @@ class ClusterBroker:
         parallel-composition ε′ (max over shards) -- so a failed gather
         charges the consumer nothing.
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # Expired requests must not route, scatter, or bill (scope is
-        # installed by the serving gateway; no-op when absent).
-        check_deadline("cluster.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs: "List[AccuracySpec]" = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, cluster serves "
-                    f"{self.dataset!r}"
-                )
-        self.policy.admit_batch(consumer, specs)
+        specs = self._intake(queries, spec, consumer)
 
         s = len(self.shards)
         routes = [
@@ -638,9 +604,7 @@ class ClusterBroker:
         with self._timer("cluster.gather_s"):
             n_total = float(self.n)
             merged_plans: "List[PrivacyPlan]" = []
-            prices: "List[float]" = []
-            epsilons: "List[float]" = []
-            labels: "List[str]" = []
+            trades: "List[Trade]" = []
             for i, (query, q_spec) in enumerate(zip(queries, specs)):
                 route = routes[i]
                 shard_plans = [answer_of[(j, i)].plan for j in route.queried]
@@ -656,62 +620,27 @@ class ClusterBroker:
                     # Every shard pruned: the range provably holds no
                     # records, released from metadata alone.
                     merged_plans.append(zero_plan(q_spec))
-                prices.append(self.pricing.price(q_spec.alpha, q_spec.delta))
-                epsilons.append(
-                    max((p.epsilon_prime for p in shard_plans), default=0.0)
-                )
-                labels.append(f"{consumer}:[{query.low},{query.high}]")
+                trades.append((
+                    "release",
+                    query,
+                    q_spec,
+                    max((p.epsilon_prime for p in shard_plans), default=0.0),
+                    self.pricing.price(q_spec.alpha, q_spec.delta),
+                    f"{consumer}:[{query.low},{query.high}]",
+                ))
 
-            total_epsilon = sum(epsilons)
-            if not self.policy.can_release(consumer, total_epsilon):
-                raise PolicyViolationError(
-                    f"consumer {consumer!r} would exceed the per-consumer "
-                    "privacy cap"
-                )
-            if not self.accountant.can_afford(self.dataset, total_epsilon):
-                raise PrivacyBudgetExceededError(
-                    f"dataset {self.dataset!r}: batch of {len(queries)} "
-                    f"merged releases (ε′={total_epsilon:.6g}) would exceed "
-                    f"capacity {self.accountant.capacity:.6g}"
-                )
+            total_epsilon = sum(trade[3] for trade in trades)
+            self._admit_epsilon(consumer, total_epsilon, len(queries))
             # Last pre-commit checkpoint: past here the consolidated trade
             # is journaled and charged, so an expired deadline must abort
             # now or never.  Shard-level books written by the scatter are
             # internal transfer accounting and are reconciled by replay.
             check_deadline("cluster.journal")
-            store_version = self._station_view.store_version
-            self._journal_trades([
-                dict(
-                    kind="release",
-                    consumer=consumer,
-                    dataset=self.dataset,
-                    low=query.low,
-                    high=query.high,
-                    alpha=q_spec.alpha,
-                    delta=q_spec.delta,
-                    epsilon_prime=eps,
-                    price=price,
-                    store_version=store_version,
-                    label=label,
-                )
-                for query, q_spec, price, eps, label in zip(
-                    queries, specs, prices, epsilons, labels
-                )
-            ])
-            for q_spec, eps in zip(specs, epsilons):
-                self.policy.settle(consumer, eps)
-            self.accountant.charge_many(self.dataset, epsilons, labels)
-            txns = self.ledger.record_many([
-                dict(
-                    consumer=consumer,
-                    dataset=self.dataset,
-                    alpha=q_spec.alpha,
-                    delta=q_spec.delta,
-                    price=price,
-                    epsilon_prime=eps,
-                )
-                for q_spec, price, eps in zip(specs, prices, epsilons)
-            ])
+            records = self._trade_records(
+                consumer, trades, self._station_view.store_version
+            )
+            self._journal_trades(records)
+            txns = self._book(consumer, records)
 
             merged: "List[ClusterAnswer]" = []
             degraded_answers = 0
@@ -743,7 +672,7 @@ class ClusterBroker:
                         query=query,
                         spec=q_spec,
                         plan=merged_plans[i],
-                        price=prices[i],
+                        price=txns[i].price,
                         consumer=consumer,
                         transaction_id=txns[i].transaction_id,
                         shard_answers=shard_answers,
@@ -787,45 +716,6 @@ class ClusterBroker:
                 float(sum(1 for shard in self.shards if shard.primary_alive)),
             )
         return merged
-
-    def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
-        """Re-release a previously merged answer at ε′ = 0.
-
-        Mirrors :meth:`DataBroker.replay`: list price, zero budget, one
-        consolidated ledger entry showing the hand-over.
-        """
-        spec = cached.spec
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self._station_view.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("cluster.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
 
     def breaker_open_fraction(self) -> float:
         """Share of shard lanes with a non-closed breaker (0.0 unwired).
@@ -1032,12 +922,3 @@ class ClusterBroker:
             executor = self._executor
         futures = [executor.submit(fn, item) for item in items]
         return [f.result() for f in futures]
-
-    def _timer(self, name: str):
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.timer(name)
-
-    def _emit(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.inc(name, amount)

@@ -17,7 +17,6 @@ For each purchased query the broker
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -26,7 +25,8 @@ import numpy as np
 from repro.core.planner import QueryPlanner
 from repro.core.policy import BrokerPolicy, PolicyViolationError
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import InfeasiblePlanError, PrivacyBudgetExceededError
+from repro.core.settle import SettleMixin, Trade
+from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
 from repro.iot.base_station import BaseStation
@@ -44,7 +44,7 @@ __all__ = ["DataBroker"]
 
 
 @dataclass
-class DataBroker:
+class DataBroker(SettleMixin):
     """Answers priced, differentially private ``(α, δ)``-range counting.
 
     Parameters
@@ -130,79 +130,6 @@ class DataBroker:
                 self._plan_memo.clear()
             self._plan_memo[key] = plan
         return plan
-
-    def quote(self, spec: AccuracySpec) -> float:
-        """List price of an ``(α, δ)`` product (no data is touched)."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
-    def _timer(self, name: str):
-        """A stage timer into the attached telemetry, or a no-op."""
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.timer(name)
-
-    def _emit(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.inc(name, amount)
-
-    def _journal_trades(self, records: "list[dict]") -> None:
-        """Commit trades to the write-ahead journal, pre-release.
-
-        Must run **before** ``policy.settle`` / ``accountant.charge`` /
-        ``ledger.record`` and before the answer object is returned
-        (journal-before-release, RL006): a crash after the append can only
-        make recovery *over*-count ε, never under-count it.  No-op when no
-        journal is attached.
-        """
-        if self.journal is not None:
-            self.journal.append_many(records)
-
-    def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
-        """Re-release a previously purchased answer to ``consumer``.
-
-        Re-releasing a released value is post-processing: it costs **zero**
-        privacy budget (nothing is charged to the accountant and the
-        policy settles ε′ = 0) and it starves averaging attacks, since m
-        identical answers average to themselves.  The sale is still billed
-        at list price and recorded in the ledger with ``epsilon_prime=0``,
-        so the books show every hand-over.
-
-        This is the single replay path shared by the broker's own
-        memoized-answer cache and the serving layer's
-        :class:`~repro.serving.answer_cache.AnswerCache`.
-        """
-        spec = cached.spec
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self.base_station.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("broker.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
 
     def _ensure_feasible(self, spec: AccuracySpec) -> None:
         p = self.base_station.sampling_rate
@@ -339,27 +266,7 @@ class DataBroker:
         rate (a scalar loop would plan earlier queries at the sparser
         pre-top-up rate; both plans are valid, the batch's is tighter).
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # A request whose deadline already passed must not plan, estimate,
-        # or bill; the scope is installed by the serving gateway.
-        check_deadline("broker.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, broker serves "
-                    f"{self.dataset!r}"
-                )
-        self.policy.admit_batch(consumer, specs)
+        specs = self._intake(queries, spec, consumer)
 
         # Split the batch into cache hits and fresh releases, walking the
         # cache exactly as the scalar loop would: a duplicate of an
@@ -405,17 +312,7 @@ class DataBroker:
             plans[(specs[i].alpha, specs[i].delta)].epsilon_prime
             for i in miss_indices
         )
-        if not self.policy.can_release(consumer, total_epsilon):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-        if not self.accountant.can_afford(self.dataset, total_epsilon):
-            raise PrivacyBudgetExceededError(
-                f"dataset {self.dataset!r}: batch of {len(miss_indices)} "
-                f"releases (ε′={total_epsilon:.6g}) would exceed capacity "
-                f"{self.accountant.capacity:.6g}"
-            )
+        self._admit_epsilon(consumer, total_epsilon, len(miss_indices))
 
         # One sample fetch, one vectorized estimation pass, one noise draw.
         estimates = np.zeros(0, dtype=np.float64)
@@ -446,69 +343,33 @@ class DataBroker:
         # appended in bulk, and journaled as one atomic batch *before*
         # any accounting state mutates (journal-before-release, RL006).
         answers: "list[Optional[PrivateAnswer]]" = [None] * len(queries)
-        sales: "list[dict]" = []
-        journal_records: "list[dict]" = []
-        settle_epsilons: "list[float]" = []
-        charge_epsilons: "list[float]" = []
-        charge_labels: "list[str]" = []
-        store_version = self.base_station.store_version
-        miss_position = {idx: pos for pos, idx in enumerate(miss_indices)}
+        trades: "list[Trade]" = []
         for i, (query, qspec) in enumerate(zip(queries, specs)):
             tier = (qspec.alpha, qspec.delta)
-            price = prices[tier]
+            kind, epsilon_prime = (
+                ("replay", 0.0) if i in hit_of
+                else ("release", plans[tier].epsilon_prime)
+            )
             label = f"{consumer}:[{query.low},{query.high}]"
-            if i in hit_of:
-                epsilon_prime = 0.0
-            else:
-                plan = plans[tier]
-                epsilon_prime = plan.epsilon_prime
-                charge_epsilons.append(epsilon_prime)
-                charge_labels.append(label)
-            settle_epsilons.append(epsilon_prime)
-            journal_records.append(dict(
-                kind="replay" if i in hit_of else "release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                epsilon_prime=epsilon_prime,
-                price=price,
-                store_version=store_version,
-                label=label,
-            ))
-            sales.append(dict(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                price=price,
-                epsilon_prime=epsilon_prime,
-            ))
+            trades.append((kind, query, qspec, epsilon_prime, prices[tier], label))
+        records = self._trade_records(
+            consumer, trades, self.base_station.store_version
+        )
         # Last pre-commit checkpoint: past here the trade is journaled and
         # charged, so an expired deadline must abort *now* or not at all.
         check_deadline("broker.journal")
         with self._timer("broker.batch.charge_s"):
-            self._journal_trades(journal_records)
-            for epsilon_prime in settle_epsilons:
-                self.policy.settle(consumer, epsilon_prime)
-            if charge_epsilons:
-                self.accountant.charge_many(
-                    self.dataset, charge_epsilons, charge_labels
-                )
-            txns = self.ledger.record_many(sales)
+            self._journal_trades(records)
+            txns = self._book(consumer, records)
         self._emit("broker.batches")
         self._emit("broker.answers", len(queries))
         self._emit("broker.replays", len(hit_of))
-        self._emit("broker.epsilon_spent", sum(charge_epsilons))
+        self._emit("broker.epsilon_spent", total_epsilon)
         if self.telemetry is not None:
             self.telemetry.observe("broker.batch_width", len(queries))
 
-        for i, (query, qspec) in enumerate(zip(queries, specs)):
-            if i in hit_of:
-                continue
-            pos = miss_position[i]
+        for pos, i in enumerate(miss_indices):
+            query, qspec = queries[i], specs[i]
             answer = PrivateAnswer(
                 value=float(released[pos]),
                 raw_value=float(raw_values[pos]),

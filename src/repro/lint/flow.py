@@ -94,6 +94,7 @@ __all__ = [
 #: ``answer*`` helper that moves there keeps the same static guarantees.
 BROKER_MODULES = (
     "repro.core.broker",
+    "repro.core.settle",
     "repro.cluster.broker",
     "repro.streaming.broker",
     "repro.resilience.brownout",

@@ -734,6 +734,7 @@ class JournalBeforeReleaseRule(Rule):
 
     _MODULES = (
         "repro.core.broker",
+        "repro.core.settle",
         "repro.cluster.broker",
         "repro.streaming.broker",
         "repro.resilience.brownout",

@@ -114,14 +114,16 @@ class BudgetAccountant:
         dataset: str,
         epsilons: "List[float]",
         labels: "List[str]",
-    ) -> float:
-        """Record several expenditures at once; returns the new total.
+    ) -> None:
+        """Record several expenditures at once.
 
         Affordability is checked once against the *sum* (sequential
         composition is additive), and the entries land in ``history`` in
         order, exactly as repeated :meth:`charge` calls would -- but
         without recomputing the running total per entry, which is what
-        makes the broker's batched trading path cheap.
+        makes the broker's batched trading path cheap.  An empty batch
+        (a settle of replays only) records nothing and adds no dataset
+        key.
 
         Raises
         ------
@@ -131,6 +133,8 @@ class BudgetAccountant:
         """
         if len(epsilons) != len(labels):
             raise ValueError("epsilons and labels must be parallel lists")
+        if not epsilons:
+            return
         if any(epsilon < 0 for epsilon in epsilons):
             raise ValueError("epsilon must be non-negative")
         total = float(sum(epsilons))
@@ -144,7 +148,6 @@ class BudgetAccountant:
             BudgetEntry(label, epsilon)
             for label, epsilon in zip(labels, epsilons)
         )
-        return self.spent(dataset)
 
     def history(self, dataset: str) -> Tuple[BudgetEntry, ...]:
         """Immutable view of the expenditures recorded for ``dataset``."""

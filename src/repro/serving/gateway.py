@@ -735,8 +735,13 @@ class ServingGateway:
 
     def _replay(self, request: _Request, cached: PrivateAnswer) -> None:
         try:
-            answer = self.broker.replay(cached, request.consumer)
+            # A duplicate coalesced behind a slow release may expire while
+            # it waits; the broker refuses it before journaling anything.
+            with deadline_scope(request.deadline):
+                answer = self.broker.replay(cached, request.consumer)
         except Exception as exc:  # repro-lint: shed -- failure lands on the future
+            if isinstance(exc, DeadlineExceededError):
+                self.telemetry.inc("gateway.deadline_exceeded")
             self._fail(request, exc)
             return
         self.telemetry.inc("gateway.cache_replays")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import PrivacyBudgetExceededError, StreamingError
-from repro.privacy.composition import sequential_composition
 
 __all__ = ["EpochBudgetAccountant", "EpochCharge"]
 
@@ -59,6 +58,11 @@ class EpochBudgetAccountant:
     )
     _floor: Dict[str, int] = field(default_factory=dict)
     _reclaimed: Dict[str, float] = field(default_factory=dict)
+    # Running Σ ε of each live ledger, kept beside its entries so a spend
+    # query is O(1): a window release checks every covered ledger twice.
+    _totals: Dict[Tuple[str, int], float] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -69,10 +73,7 @@ class EpochBudgetAccountant:
     # ------------------------------------------------------------------
     def spent(self, dataset: str, epoch: int) -> float:
         """Cumulative ε′ charged to one epoch's ledger (0 once expired)."""
-        entries = self._spent.get((dataset, epoch), [])
-        if not entries:
-            return 0.0
-        return sequential_composition([e.epsilon for e in entries])
+        return self._totals.get((dataset, epoch), 0.0)
 
     def window_spent(self, dataset: str, epochs: Sequence[int]) -> float:
         """Per-record leakage bound over a window: the *max* epoch ledger.
@@ -93,9 +94,9 @@ class EpochBudgetAccountant:
         floor = self._floor.get(dataset, 0)
         return float(
             sum(
-                sequential_composition([e.epsilon for e in entries])
-                for (name, epoch), entries in self._spent.items()
-                if name == dataset and epoch >= floor and entries
+                total
+                for (name, epoch), total in self._totals.items()
+                if name == dataset and epoch >= floor
             )
         )
 
@@ -166,9 +167,9 @@ class EpochBudgetAccountant:
                 f"{self.spent(dataset, worst):.6g})"
             )
         for epoch in epochs:
-            self._spent.setdefault((dataset, epoch), []).append(
-                EpochCharge(label, epsilon)
-            )
+            key = (dataset, epoch)
+            self._spent.setdefault(key, []).append(EpochCharge(label, epsilon))
+            self._totals[key] = self._totals.get(key, 0.0) + float(epsilon)
         return self.window_spent(dataset, list(epochs))
 
     # ------------------------------------------------------------------
@@ -190,11 +191,8 @@ class EpochBudgetAccountant:
             if key[0] == dataset and key[1] < floor
         ]
         for key in dead:
-            entries = self._spent.pop(key)
-            if entries:
-                reclaimed += sequential_composition(
-                    [e.epsilon for e in entries]
-                )
+            del self._spent[key]
+            reclaimed += self._totals.pop(key)
         if reclaimed:
             self._reclaimed[dataset] = (
                 self._reclaimed.get(dataset, 0.0) + reclaimed

@@ -36,14 +36,12 @@ ensures post-roll lookups miss.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ContextManager,
     Dict,
     List,
     Optional,
@@ -53,8 +51,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
+from repro.core.settle import SettleMixin, Trade
 from repro.errors import (
     InsufficientSamplesError,
     PrivacyBudgetExceededError,
@@ -199,7 +198,7 @@ class StreamingStation:
 
 
 @dataclass
-class StreamingBroker:
+class StreamingBroker(SettleMixin):
     """Answers priced, private range counting over the live window.
 
     Parameters
@@ -239,11 +238,15 @@ class StreamingBroker:
     # A broker is a process singleton; the fixed default seed is the
     # documented determinism contract (tests pin golden answers to it).
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(7))  # repro-lint: disable=RL002
-    policy: Optional[BrokerPolicy] = None
+    #: ``None`` (the default) sells exactly the floor bands; set in
+    #: ``__post_init__``, so the policy is never ``None`` afterwards.
+    policy: BrokerPolicy = None  # type: ignore[assignment]
     planner_grid_points: int = 512
     telemetry: "Optional[MetricsRegistry]" = None
     journal: "Optional[TradeJournal]" = None
     window_log: Optional[WindowLog] = None
+
+    _prefix = "streaming"
 
     def __post_init__(self) -> None:
         if self.policy is None:
@@ -268,10 +271,6 @@ class StreamingBroker:
         """Cache/gateway binding surface (store_version + subscribe_commits)."""
         return self.station
 
-    def quote(self, spec: AccuracySpec) -> float:
-        """List price of an ``(α, δ)`` product (no data is touched)."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
     def routing_signature(self, query: RangeQuery, spec: AccuracySpec) -> str:
         """The window id answers are currently derived from.
 
@@ -281,22 +280,6 @@ class StreamingBroker:
         invalidation contract the gateway relies on across rolls.
         """
         return self.station.snapshot().window_id
-
-    def _timer(self, name: str) -> "ContextManager[Any]":
-        if self.telemetry is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return self.telemetry.timer(name)
-
-    def _emit(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.inc(name, amount)
-
-    def _journal_trades(self, records: "List[Dict[str, Any]]") -> None:
-        """Commit trades to the write-ahead journal, pre-release (RL006)."""
-        if self.journal is not None:
-            self.journal.append_many(records)
 
     # ------------------------------------------------------------------
     # execution backend (repro.workers)
@@ -368,51 +351,6 @@ class StreamingBroker:
         return plan
 
     # ------------------------------------------------------------------
-    # replay (ε′ = 0 post-processing)
-    # ------------------------------------------------------------------
-    def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
-        """Re-release a previously purchased answer to ``consumer``.
-
-        Post-processing: zero privacy cost (no accountant charge, no
-        epoch-ledger charge), billed at list price, journaled with
-        ε′ = 0 -- the same replay contract as the one-shot broker, so
-        the serving cache and gateway work unchanged.
-        """
-        spec = cached.spec
-        assert self.policy is not None
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self.station.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("broker.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
-
-    # ------------------------------------------------------------------
     # answering
     # ------------------------------------------------------------------
     def answer(
@@ -440,28 +378,7 @@ class StreamingBroker:
         the lifetime accountant, *and* every covered epoch ledger -- the
         batch completes in full or charges nothing.
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # Expired requests must not snapshot, plan, or bill (deadline
-        # scope installed by the serving gateway, no-op otherwise).
-        check_deadline("streaming.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, broker "
-                    f"serves {self.dataset!r}"
-                )
-        assert self.policy is not None
-        self.policy.admit_batch(consumer, specs)
+        specs = self._intake(queries, spec, consumer)
 
         snapshot = self.station.snapshot()
         if snapshot.node_count == 0:
@@ -494,17 +411,7 @@ class StreamingBroker:
         total_epsilon = float(sum(
             plans[(s.alpha, s.delta)].epsilon_prime for s in specs
         ))
-        if not self.policy.can_release(consumer, total_epsilon):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-        if not self.accountant.can_afford(self.dataset, total_epsilon):
-            raise PrivacyBudgetExceededError(
-                f"dataset {self.dataset!r}: batch of {len(queries)} "
-                f"releases (ε′={total_epsilon:.6g}) would exceed capacity "
-                f"{self.accountant.capacity:.6g}"
-            )
+        self._admit_epsilon(consumer, total_epsilon, len(queries))
         if not self.epoch_accountant.can_afford(
             self.dataset, live, total_epsilon
         ):
@@ -527,58 +434,35 @@ class StreamingBroker:
 
         # Journal-before-release: trades to the trade journal, epoch
         # charges to the window log, then (and only then) the books.
-        journal_records: "List[Dict[str, Any]]" = []
-        sales: "List[Dict[str, Any]]" = []
-        charge_epsilons: "List[float]" = []
-        charge_labels: "List[str]" = []
+        trades: "List[Trade]" = []
         for query, qspec in zip(queries, specs):
             tier = (qspec.alpha, qspec.delta)
-            plan = plans[tier]
             label = f"{consumer}:[{query.low},{query.high}]@{snapshot.window_id}"
-            charge_epsilons.append(plan.epsilon_prime)
-            charge_labels.append(label)
-            journal_records.append(dict(
-                kind="release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                epsilon_prime=plan.epsilon_prime,
-                price=prices[tier],
-                store_version=snapshot.store_version,
-                label=label,
+            trades.append((
+                "release", query, qspec, plans[tier].epsilon_prime,
+                prices[tier], label,
             ))
-            sales.append(dict(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                price=prices[tier],
-                epsilon_prime=plan.epsilon_prime,
-            ))
+        records = self._trade_records(consumer, trades, snapshot.store_version)
+
+        def charge_epochs() -> None:
+            for record in records:
+                self.epoch_accountant.charge_window(
+                    self.dataset, live, record["epsilon_prime"], record["label"]
+                )
+
         # Last pre-commit checkpoint before the journal/charge sequence.
         check_deadline("streaming.journal")
         with self._timer("streaming.charge_s"):
-            self._journal_trades(journal_records)
+            self._journal_trades(records)
             if self.window_log is not None:
-                for epsilon, label in zip(charge_epsilons, charge_labels):
+                for record in records:
                     self.window_log.append_charge(
-                        self.dataset, live, epsilon, label
+                        self.dataset, live, record["epsilon_prime"],
+                        record["label"],
                     )
-            for epsilon in charge_epsilons:
-                self.policy.settle(consumer, epsilon)
-            self.accountant.charge_many(
-                self.dataset, charge_epsilons, charge_labels
-            )
-            for epsilon, label in zip(charge_epsilons, charge_labels):
-                self.epoch_accountant.charge_window(
-                    self.dataset, live, epsilon, label
-                )
-            txns = self.ledger.record_many(sales)
+            txns = self._book(consumer, records, charge_epochs)
         self._emit("streaming.answers", len(queries))
-        self._emit("streaming.epsilon_spent", sum(charge_epsilons))
+        self._emit("streaming.epsilon_spent", total_epsilon)
         if self.telemetry is not None:
             self.telemetry.observe("streaming.batch_width", len(queries))
 

@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.durability.journal import TradeJournal
+from repro.streaming.broker import StreamingBroker
 from tests.chaos.conftest import DEVICES, RANGES, RECORDS
+from tests.streaming.test_broker import FLOOR as STREAM_FLOOR
+from tests.streaming.test_broker import make_broker as make_streaming_broker
 
 
 def build_service(shards: int = 1) -> PrivateRangeCountingService:
@@ -120,3 +125,81 @@ class TestClusterBrokerJournal:
         assert entries[-1].epsilon_prime == 0.0
         assert entries[-1].consumer == "erin"
         assert replayed.value == cached.value
+
+
+class TestStreamingBrokerJournal:
+    def test_release_journals_the_window_trade(self):
+        journal = TradeJournal()
+        broker = make_streaming_broker(journal=journal)
+        query = RangeQuery(low=20.0, high=70.0, dataset="stream")
+        answer = broker.answer(query, STREAM_FLOOR, "alice")
+        [entry] = journal.entries()
+        assert entry.kind == "release"
+        assert entry.consumer == "alice"
+        assert entry.dataset == broker.dataset
+        assert (entry.low, entry.high) == (20.0, 70.0)
+        assert (entry.alpha, entry.delta) == (
+            STREAM_FLOOR.alpha, STREAM_FLOOR.delta
+        )
+        assert entry.epsilon_prime == answer.plan.epsilon_prime
+        assert entry.price == answer.price
+        assert entry.store_version == broker.station.store_version
+        # Releases pin the window they were computed against.
+        assert entry.label == "alice:[20.0,70.0]@w0:1"
+
+    def test_replay_journals_zero_epsilon_at_the_current_version(self):
+        journal = TradeJournal()
+        broker = make_streaming_broker(journal=journal)
+        query = RangeQuery(low=20.0, high=70.0, dataset="stream")
+        cached = broker.answer(query, STREAM_FLOOR, "alice")
+        spent = broker.accountant.spent(broker.dataset)
+        epoch_spent = broker.epoch_accountant.live_total(broker.dataset)
+        replayed = broker.replay(cached, consumer="bob")
+        entries = journal.entries()
+        assert [e.kind for e in entries] == ["release", "replay"]
+        replay = entries[1]
+        assert replay.consumer == "bob"
+        assert replay.epsilon_prime == 0.0
+        assert replay.price == entries[0].price
+        assert replay.store_version == broker.station.store_version
+        assert replay.label == "bob:[20.0,70.0]"
+        assert replayed.value == cached.value
+        assert replayed.transaction_id == broker.ledger.transactions[-1].transaction_id
+        assert broker.ledger.transactions[-1].epsilon_prime == 0.0
+        # Post-processing: neither the lifetime nor the epoch books move.
+        assert broker.accountant.spent(broker.dataset) == spent
+        assert broker.epoch_accountant.live_total(broker.dataset) == epoch_spent
+
+
+def _ranges_for(broker):
+    if isinstance(broker, StreamingBroker):
+        return [RangeQuery(low=20.0, high=70.0, dataset="stream")], STREAM_FLOOR
+    return [RangeQuery(low=low, high=high) for low, high in RANGES], (
+        AccuracySpec(alpha=0.1, delta=0.5)
+    )
+
+
+@pytest.mark.parametrize("kind", ["core", "cluster", "streaming"])
+def test_epsilon_cap_refusal_is_atomic(kind):
+    """A per-consumer ε-cap refusal journals, charges and bills nothing."""
+    if kind == "streaming":
+        broker = make_streaming_broker(
+            journal=TradeJournal(),
+            policy=BrokerPolicy(
+                min_alpha=STREAM_FLOOR.alpha,
+                max_delta=STREAM_FLOOR.delta,
+                max_epsilon_per_consumer=1e-9,
+            ),
+        )
+    else:
+        broker = build_service(shards=2 if kind == "cluster" else 1).broker
+        broker.policy = BrokerPolicy(max_epsilon_per_consumer=1e-9)
+    queries, spec = _ranges_for(broker)
+    with pytest.raises(PolicyViolationError):
+        broker.answer_batch(queries, spec, consumer="mallory")
+    assert len(broker.journal) == 0
+    assert len(broker.ledger) == 0
+    assert broker.accountant.datasets() == ()
+    assert broker.policy.purchases_by("mallory") == 0
+    if kind == "streaming":
+        assert broker.epoch_accountant.live_total(broker.dataset) == 0.0

@@ -15,6 +15,8 @@ from repro.lint.flow import run_project_rules
 
 BROKER = "src/repro/core/broker.py"
 CLUSTER = "src/repro/cluster/broker.py"
+STREAMING = "src/repro/streaming/broker.py"
+SETTLE = "src/repro/core/settle.py"
 WORKER = "src/repro/workers/worker.py"
 TELEMETRY = "src/repro/serving/telemetry.py"
 
@@ -65,30 +67,48 @@ MUTATION_RL007 = {
     ]
 }
 
-#: The hedged duplicate-release bug: a refactor moves the cluster batch
-#: settle/charge into a helper that skips the accountant whenever a
-#: hedge won the race -- on the (wrong) theory that the losing lane
-#: already billed.  The hedge's exactly-once claim means the loser never
-#: touched the books, so the hedged branch releases answers uncharged.
+#: The hedged duplicate-release bug: a refactor gives the settle kernel a
+#: hedge-aware booking step for the cluster that skips the accountant
+#: whenever a hedge won the race -- on the (wrong) theory that the losing
+#: lane already billed.  The hedge's exactly-once claim means the loser
+#: never touched the books, so the hedged branch releases answers
+#: uncharged.
 MUTATION_RL007_HEDGE = {
     CLUSTER: [
         (
-            "            for q_spec, eps in zip(specs, epsilons):\n"
-            "                self.policy.settle(consumer, eps)\n"
-            "            self.accountant.charge_many(self.dataset, epsilons, labels)\n",
-            "            self._settle_and_bill(consumer, specs, epsilons, labels)\n",
+            "            txns = self._book(consumer, records)\n",
+            "            txns = self._settle_and_bill(consumer, records)\n",
         ),
+    ],
+    SETTLE: [
         (
-            "    def answer_batch(",
-            "    def _settle_and_bill(self, consumer, specs, epsilons, labels):\n"
-            "        for q_spec, eps in zip(specs, epsilons):\n"
-            "            self.policy.settle(consumer, eps)\n"
+            "    def replay(",
+            "    def _settle_and_bill(self, consumer, records):\n"
+            "        for record in records:\n"
+            '            self.policy.settle(consumer, record["epsilon_prime"])\n'
             "        if self.hedging is None or self.hedging.hedges_won == 0:\n"
-            "            self.accountant.charge_many(self.dataset, epsilons, labels)\n"
+            "            self.accountant.charge_many(\n"
+            "                self.dataset,\n"
+            '                [record["epsilon_prime"] for record in records],\n'
+            '                [record["label"] for record in records],\n'
+            "            )\n"
+            "        return self.ledger.record_many(records)\n"
             "\n"
-            "    def answer_batch(",
+            "    def replay(",
         ),
-    ]
+    ],
+}
+
+#: The shared booking step charges only on one branch: every broker's
+#: batch path settles through it, so all three must be flagged.
+MUTATION_RL007_KERNEL = {
+    SETTLE: [
+        (
+            "        self.accountant.charge_many(self.dataset, epsilons, labels)\n",
+            "        if epsilons:\n"
+            "            self.accountant.charge_many(self.dataset, epsilons, labels)\n",
+        ),
+    ],
 }
 
 MUTATION_RL008 = {
@@ -203,6 +223,28 @@ def test_rl007_hedged_duplicate_release_is_caught(mutated_project):
 
 def test_rl007_hedged_mutation_is_invisible_to_intra_rules():
     assert _intra_findings(MUTATION_RL007_HEDGE, ["RL001", "RL006"]) == []
+
+
+# ----------------------------------------------------------------------
+# (b'') RL007: the shared booking step charges on one branch only
+# ----------------------------------------------------------------------
+def test_rl007_conditional_kernel_charge_flags_every_broker(mutated_project):
+    findings, _, _ = mutated_project(MUTATION_RL007_KERNEL, only=["RL007"])
+    assert [f.rule_id for f in findings] == ["RL007"] * 3
+    assert sorted(f.path for f in findings) == sorted(
+        [BROKER, CLUSTER, STREAMING]
+    )
+    for finding in findings:
+        assert ".answer_batch releases an answer" in finding.message
+        assert "accountant is never charged" in finding.message
+        notes = [hop.note for hop in finding.trace]
+        assert any(
+            "_book" in note and "some of its paths" in note for note in notes
+        )
+
+
+def test_rl007_kernel_mutation_is_invisible_to_intra_rules():
+    assert _intra_findings(MUTATION_RL007_KERNEL, ["RL001", "RL006"]) == []
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ MYPY_SCOPE = [
     "src/repro/privacy",
     "src/repro/pricing",
     "src/repro/core/policy.py",
+    "src/repro/core/settle.py",
     "src/repro/cluster/planning.py",
     "src/repro/streaming",
     "src/repro/workers",

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.durability.journal import TradeJournal
 from repro.errors import DeadlineExceededError
 from repro.resilience import ManualClock
 from repro.serving import ServingConfig
@@ -199,3 +200,41 @@ class TestQuiesceDeadlineRace:
                 ) == 0.0
             counters = gateway.telemetry.snapshot()["counters"]
             assert "gateway.post_deadline_release" not in counters
+
+
+class TestReplayDeadline:
+    def test_coalesced_replay_past_its_deadline_is_never_billed(
+        self, service, monkeypatch
+    ):
+        """A duplicate coalesced behind a slow release must not be billed
+        once its own deadline has passed while it waited."""
+        broker = service.broker
+        broker.journal = TradeJournal()
+        clock = ManualClock()
+        gateway = ServingGateway(
+            broker=broker,
+            config=ServingConfig(batch_window=0.0, request_ttl=1.0),
+            clock=clock,
+        )
+        release = broker.answer_batch
+
+        def slow_answer_batch(*args, **kwargs):
+            answers = release(*args, **kwargs)
+            clock.advance(5.0)  # Alice's release takes 5 s
+            return answers
+
+        monkeypatch.setattr(broker, "answer_batch", slow_answer_batch)
+        # Never started: stop() drains both requests as one window.
+        alice = gateway.submit_range(0.0, 50.0, ALPHA, DELTA, consumer="alice")
+        bob = gateway.submit_range(0.0, 50.0, ALPHA, DELTA, consumer="bob")
+        gateway.stop()
+
+        assert alice.result(timeout=5.0).consumer == "alice"
+        with pytest.raises(DeadlineExceededError):
+            bob.result(timeout=5.0)
+        assert [e.consumer for e in broker.journal.entries()] == ["alice"]
+        assert [t.consumer for t in broker.ledger.transactions] == ["alice"]
+        counters = gateway.telemetry.snapshot()["counters"]
+        assert counters["gateway.deadline_exceeded"] == 1
+        # Only Alice's release (already committed) outlived its deadline.
+        assert counters["gateway.post_deadline_release"] == 1

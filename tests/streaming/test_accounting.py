@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PrivacyBudgetExceededError, StreamingError
+from repro.privacy.composition import sequential_composition
 from repro.streaming.accounting import EpochBudgetAccountant
 
 
@@ -47,6 +48,27 @@ class TestCharging:
         acct = EpochBudgetAccountant()
         with pytest.raises(ValueError):
             acct.charge_window("d", [0], -0.1)
+
+    def test_spend_equals_composed_history_exactly(self):
+        # The running totals must be bit-identical to sequentially
+        # composing each ledger's history, also across expiry.
+        acct = EpochBudgetAccountant()
+        epsilons = [0.1, 1 / 3, 2e-9, 0.7, 1e-17, 0.05]
+        for i in range(60):
+            epoch = i // 10
+            acct.charge_window(
+                "d", [max(0, epoch - 1), epoch], epsilons[i % len(epsilons)]
+            )
+        acct.expire_before("d", 2)
+        for epoch in range(6):
+            entries = [e.epsilon for e in acct.history("d", epoch)]
+            assert acct.spent("d", epoch) == (
+                sequential_composition(entries) if entries else 0.0
+            )
+        assert acct.live_total("d") == float(sum(
+            sequential_composition([e.epsilon for e in acct.history("d", ep)])
+            for ep in acct.live_epochs("d")
+        ))
 
 
 class TestExpiry:
