@@ -639,8 +639,9 @@ class ClusterBroker(SettleMixin):
             records = self._trade_records(
                 consumer, trades, self._station_view.store_version
             )
-            self._journal_trades(records)
-            txns = self._book(consumer, records)
+            with self._timer("cluster.charge_s"):
+                self._journal_trades(records)
+                txns = self._book(consumer, records)
 
             merged: "List[ClusterAnswer]" = []
             degraded_answers = 0

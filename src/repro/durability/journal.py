@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -80,8 +80,12 @@ class JournalEntry:
             )
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable dict (one JSONL line when file-backed)."""
-        payload: Dict[str, Any] = asdict(self)
+        """JSON-serializable dict (one JSONL line when file-backed).
+
+        Every field is a scalar, so a shallow copy of the fields equals
+        ``dataclasses.asdict`` at a fraction of its recursive cost.
+        """
+        payload: Dict[str, Any] = dict(self.__dict__)
         payload["format"] = JOURNAL_FORMAT
         payload["version"] = JOURNAL_VERSION
         return payload

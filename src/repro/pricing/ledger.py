@@ -53,7 +53,7 @@ class TradeRecord(Protocol):
     def label(self) -> str: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One completed sale of an ``(α, δ)`` product."""
 

@@ -6,6 +6,12 @@ unbounded information, so production deployments cap the cumulative budget
 per dataset.  :class:`BudgetAccountant` tracks, per dataset key, the ε′
 spent by every released answer under sequential composition and refuses
 releases that would overspend.
+
+Beside each dataset's history it keeps a running Σ ε, folded in one
+entry at a time in history order.  ``sequential_composition`` is
+``float(sum(...))``, which on CPython 3.10 and 3.11 adds left to right
+from 0, so the running total is bit-identical to composing the history,
+and a spend query or charge costs O(1) however long the history grows.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Protocol, Tuple
 
 from repro.errors import LedgerError, PrivacyBudgetExceededError
-from repro.privacy.composition import sequential_composition
 
 __all__ = ["BudgetAccountant", "BudgetEntry", "SpendRecord"]
 
@@ -43,7 +48,7 @@ class SpendRecord(Protocol):
     def label(self) -> str: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetEntry:
     """One recorded expenditure: the query label and the ε′ it consumed."""
 
@@ -65,6 +70,11 @@ class BudgetAccountant:
 
     capacity: float = float("inf")
     _spent: Dict[str, List[BudgetEntry]] = field(default_factory=dict)
+    # Running Σ ε of each dataset's history, kept beside its entries so a
+    # spend query is O(1): every settled batch asks for it at least twice.
+    _totals: Dict[str, float] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -72,13 +82,31 @@ class BudgetAccountant:
         # Highest journal answer_id already folded into this accountant;
         # the idempotency floor for replay_journal (0 = nothing replayed).
         self._journal_high_water: int = 0
+        self._load(self._spent)
+
+    def _load(self, histories: "Mapping[str, Iterable[BudgetEntry]]") -> None:
+        """Replace every history, folding each into a fresh running total."""
+        self._spent, self._totals = {}, {}
+        for dataset, entries in histories.items():
+            self._record(dataset, entries)
+
+    def _record(self, dataset: str, entries: "Iterable[BudgetEntry]") -> None:
+        """The single write path: append ``entries`` and fold each one in.
+
+        Each ε is added to the total on its own, in order, never as a
+        pre-summed batch, so the total stays equal to
+        ``sequential_composition`` over the history.
+        """
+        history = self._spent.setdefault(dataset, [])
+        total = self._totals.get(dataset, 0.0)
+        for entry in entries:
+            history.append(entry)
+            total += float(entry.epsilon)
+        self._totals[dataset] = total
 
     def spent(self, dataset: str) -> float:
-        """Total ε′ spent so far against ``dataset``."""
-        entries = self._spent.get(dataset, [])
-        if not entries:
-            return 0.0
-        return sequential_composition([e.epsilon for e in entries])
+        """Total ε′ spent so far against ``dataset`` (O(1))."""
+        return self._totals.get(dataset, 0.0)
 
     def remaining(self, dataset: str) -> float:
         """Budget headroom left for ``dataset``."""
@@ -106,7 +134,7 @@ class BudgetAccountant:
                 f"capacity {self.capacity:.6g} (already spent "
                 f"{self.spent(dataset):.6g})"
             )
-        self._spent.setdefault(dataset, []).append(BudgetEntry(label, epsilon))
+        self._record(dataset, (BudgetEntry(label, epsilon),))
         return self.spent(dataset)
 
     def charge_many(
@@ -119,9 +147,9 @@ class BudgetAccountant:
 
         Affordability is checked once against the *sum* (sequential
         composition is additive), and the entries land in ``history`` in
-        order, exactly as repeated :meth:`charge` calls would -- but
-        without recomputing the running total per entry, which is what
-        makes the broker's batched trading path cheap.  An empty batch
+        order, exactly as repeated :meth:`charge` calls would -- but with
+        one affordability check per batch, which is what makes the
+        broker's batched trading path cheap.  An empty batch
         (a settle of replays only) records nothing and adds no dataset
         key.
 
@@ -144,10 +172,10 @@ class BudgetAccountant:
                 f"exceed capacity {self.capacity:.6g} (already spent "
                 f"{self.spent(dataset):.6g})"
             )
-        self._spent.setdefault(dataset, []).extend(
+        self._record(dataset, (
             BudgetEntry(label, epsilon)
             for label, epsilon in zip(labels, epsilons)
-        )
+        ))
 
     def history(self, dataset: str) -> Tuple[BudgetEntry, ...]:
         """Immutable view of the expenditures recorded for ``dataset``."""
@@ -160,6 +188,7 @@ class BudgetAccountant:
     def reset(self, dataset: str) -> None:
         """Forget all spending for ``dataset`` (e.g. after data rotation)."""
         self._spent.pop(dataset, None)
+        self._totals.pop(dataset, None)
 
     # ------------------------------------------------------------------ #
     # Durability: snapshot / restore / journal replay                    #
@@ -179,13 +208,13 @@ class BudgetAccountant:
         """Replace this accountant's state with a :meth:`snapshot` copy."""
         spent: Mapping[str, Iterable[Tuple[str, float]]] = snapshot["spent"]
         self.capacity = float(snapshot["capacity"])
-        self._spent = {
+        self._load({
             dataset: [
                 BudgetEntry(str(label), float(epsilon))
                 for label, epsilon in entries
             ]
             for dataset, entries in spent.items()
-        }
+        })
         self._journal_high_water = int(snapshot["journal_high_water"])
 
     def replay_journal(self, entries: "Iterable[SpendRecord]") -> int:
@@ -215,8 +244,8 @@ class BudgetAccountant:
                 # Replays are post-processing: billed, but never charged
                 # to the accountant, exactly as in live operation.
                 continue
-            self._spent.setdefault(entry.dataset, []).append(
-                BudgetEntry(entry.label, entry.epsilon_prime)
+            self._record(
+                entry.dataset, (BudgetEntry(entry.label, entry.epsilon_prime),)
             )
             applied += 1
         return applied

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.durability.journal import (
+    ENTRY_KINDS,
     JOURNAL_FORMAT,
     JOURNAL_VERSION,
     JournalEntry,
@@ -137,3 +139,78 @@ class TestChecksum:
         assert a.checksum() == b.checksum()
         b.append(**journal_record(kind="replay", epsilon_prime=0.0))
         assert a.checksum() != b.checksum()
+
+
+def _odd_record():
+    """A record with awkward floats and a non-ASCII label."""
+    return journal_record(
+        consumer="bob", low=-1e-300, high=1 / 3, alpha=0.15, delta=0.6,
+        epsilon_prime=2.5e-17, price=12345.678, store_version=0,
+        label="bob:[\u00fcn\u00ef]",
+    )
+
+
+class TestPayloadEncoding:
+    """``to_payload`` is a shallow copy; it must equal the ``asdict`` form."""
+
+    @staticmethod
+    def _asdict_payload(entry):
+        payload = dataclasses.asdict(entry)
+        payload["format"] = JOURNAL_FORMAT
+        payload["version"] = JOURNAL_VERSION
+        return payload
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    @pytest.mark.parametrize("origin", ["init", "append", "load"])
+    def test_payload_equals_asdict_for_every_field(self, kind, origin,
+                                                   tmp_path):
+        record = journal_record(kind=kind, epsilon_prime=(
+            0.02 if kind == "release" else 0.0))
+        if origin == "init":
+            entry = JournalEntry(answer_id=5, **record)
+        elif origin == "append":
+            entry = TradeJournal().append(**record)
+        else:
+            path = tmp_path / "journal.jsonl"
+            with TradeJournal(path=path) as journal:
+                journal.append(**record)
+            [entry] = TradeJournal.load(path).entries()
+        payload = entry.to_payload()
+        expected = self._asdict_payload(entry)
+        fields = {f.name for f in dataclasses.fields(JournalEntry)}
+        assert set(payload) == fields | {"format", "version"}
+        assert payload == expected
+        for key, value in expected.items():
+            assert type(payload[key]) is type(value), key
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
+
+    def test_payload_is_a_copy(self):
+        entry = JournalEntry(answer_id=1, **journal_record())
+        entry.to_payload()["low"] = 99.0
+        assert entry.low == 0.0
+        assert "format" not in vars(entry)
+
+    def test_checksum_and_lines_are_pinned(self, tmp_path):
+        # Bytes written by the asdict-based encoder; the shallow copy
+        # must reproduce them exactly.
+        path = tmp_path / "journal.jsonl"
+        with TradeJournal(path=path) as journal:
+            journal.append_many([
+                journal_record(),
+                journal_record(kind="replay", epsilon_prime=0.0),
+                _odd_record(),
+            ])
+            checksum = journal.checksum()
+        assert checksum == (
+            "d81a3e8db71908a9dcb6e795940d89b2195833884c1c54157b983d5be82da47d"
+        )
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[2] == (
+            '{"alpha": 0.15, "answer_id": 3, "consumer": "bob", '
+            '"dataset": "default", "delta": 0.6, "epsilon_prime": 2.5e-17, '
+            '"format": "repro.trade-journal", "high": 0.3333333333333333, '
+            '"kind": "release", "label": "bob:[\\u00fcn\\u00ef]", '
+            '"low": -1e-300, "price": 12345.678, "store_version": 0, '
+            '"version": 1}'
+        )

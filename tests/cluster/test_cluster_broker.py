@@ -156,6 +156,11 @@ class TestAccounting:
         assert telemetry.value("cluster.answers") == 2.0
         assert telemetry.value("cluster.epsilon_spent") > 0.0
         assert telemetry.value("cluster.shards_healthy") == 2.0
+        # One book-keeping stage (journal + books) per batch, inside
+        # the gather stage that contains it.
+        books = telemetry.histogram("cluster.charge_s")
+        assert books.count == 1
+        assert 0.0 < books.sum <= telemetry.histogram("cluster.gather_s").sum
 
 
 class TestEmpiricalGuarantee:
