@@ -800,6 +800,21 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def _run_serve(service, gateway, requests, args: argparse.Namespace) -> int:
+    return _serve_and_tabulate(
+        gateway,
+        requests,
+        service.broker.ledger,
+        lambda served: (
+            f"{served} requests served; total eps' charged "
+            f"{service.privacy_spent():.6g}, revenue "
+            f"{service.broker.ledger.total_revenue():.6g}"
+        ),
+        args.metrics,
+    )
+
+
+def _serve_and_tabulate(gateway, requests, ledger, summary, metrics: bool) -> int:
+    """Submit every request, print the billed-ε′ table, then ``summary``."""
     with gateway:
         futures = [
             (consumer, gateway.submit_range(low, high, alpha, delta,
@@ -813,8 +828,7 @@ def _run_serve(service, gateway, requests, args: argparse.Namespace) -> int:
     # cache replay carries its plan's ε′ on the answer object but is
     # billed (and composed) at zero.
     billed = {
-        txn.transaction_id: txn.epsilon_prime
-        for txn in service.broker.ledger.transactions
+        txn.transaction_id: txn.epsilon_prime for txn in ledger.transactions
     }
     rows = [
         (
@@ -834,12 +848,8 @@ def _run_serve(service, gateway, requests, args: argparse.Namespace) -> int:
             rows,
         )
     )
-    print(
-        f"{len(rows)} requests served; total eps' charged "
-        f"{service.privacy_spent():.6g}, revenue "
-        f"{service.broker.ledger.total_revenue():.6g}"
-    )
-    if args.metrics:
+    print(summary(len(rows)))
+    if metrics:
         import json as _json
 
         print(_json.dumps(gateway.snapshot(), indent=1))
@@ -1397,51 +1407,21 @@ def _cmd_stream_serve(args: argparse.Namespace) -> int:
         ),
         telemetry=cluster.telemetry,
     )
-    with gateway:
-        futures = [
-            (consumer, gateway.submit_range(low, high, alpha, delta,
-                                            consumer=consumer))
-            for consumer, low, high, alpha, delta in requests
-        ]
-        answers = [
-            (consumer, future.result()) for consumer, future in futures
-        ]
-    billed = {
-        txn.transaction_id: txn.epsilon_prime
-        for txn in cluster.broker.ledger.transactions
-    }
-    rows = [
-        (
-            consumer,
-            answer.query.low,
-            answer.query.high,
-            answer.value,
-            answer.price,
-            billed.get(answer.transaction_id, answer.plan.epsilon_prime),
-        )
-        for consumer, answer in answers
-    ]
-    print(
-        format_table(
-            ["consumer", "low", "high", "released_count", "price",
-             "epsilon_prime_billed"],
-            rows,
-        )
-    )
     dataset = cluster.config.dataset
     accountant = cluster.broker.epoch_accountant
-    print(
-        f"{len(rows)} requests served; window eps' "
-        f"{accountant.window_spent(dataset, list(snapshot.live_epochs)):.6g} "
-        f"(live total {accountant.live_total(dataset):.6g}, reclaimed "
-        f"{accountant.reclaimed(dataset):.6g}), revenue "
-        f"{cluster.broker.ledger.total_revenue():.6g}"
+    return _serve_and_tabulate(
+        gateway,
+        requests,
+        cluster.broker.ledger,
+        lambda served: (
+            f"{served} requests served; window eps' "
+            f"{accountant.window_spent(dataset, list(snapshot.live_epochs)):.6g} "
+            f"(live total {accountant.live_total(dataset):.6g}, reclaimed "
+            f"{accountant.reclaimed(dataset):.6g}), revenue "
+            f"{cluster.broker.ledger.total_revenue():.6g}"
+        ),
+        args.metrics,
     )
-    if args.metrics:
-        import json as _json
-
-        print(_json.dumps(gateway.snapshot(), indent=1))
-    return 0
 
 
 def _cmd_stream_bench(args: argparse.Namespace) -> int:

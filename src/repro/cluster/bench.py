@@ -194,37 +194,6 @@ def _run_gateway_phase(
     return result.to_payload()
 
 
-def _determinism_checksum(
-    values: np.ndarray,
-    devices: int,
-    shards: int,
-    seed: int,
-    ranges: "List[Tuple[float, float]]",
-    tiers: "Sequence[AccuracySpec]",
-    partition: str,
-    probes: int = 32,
-) -> float:
-    """A fixed direct (gateway-free) batch on a fresh twin cluster.
-
-    Single consumer, fixed query order, loss-free channels: the released
-    values are a pure function of ``seed``, so this checksum is the
-    run-to-run reproducibility witness of the bench JSON.
-    """
-    cluster = ClusterBroker.from_values(
-        values, k=devices, shards=shards, seed=seed, partition=partition
-    )
-    queries: "List[RangeQuery]" = []
-    specs: "List[AccuracySpec]" = []
-    for i in range(probes):
-        low, high = ranges[i % len(ranges)]
-        queries.append(RangeQuery(low=low, high=high))
-        specs.append(tiers[i % len(tiers)])
-    target = max(cluster.planner.required_rate(spec) for spec in set(specs))
-    cluster.ensure_rate(target)
-    answers = cluster.answer_batch(queries, specs, consumer="audit")
-    return float(sum(a.value for a in answers))
-
-
 def _backend_checksum(
     values: np.ndarray,
     devices: int,
@@ -236,10 +205,13 @@ def _backend_checksum(
     execution: str,
     probes: int = 32,
 ) -> float:
-    """:func:`_determinism_checksum` under a chosen execution backend.
+    """A fixed direct (gateway-free) batch on a fresh twin cluster.
 
-    Threads vs processes on the same seed must agree bit-for-bit -- the
-    workers phase's ``checksums_identical`` gate compares the two.
+    Single consumer, fixed query order, loss-free channels: the released
+    values are a pure function of ``seed``, so this checksum is the
+    run-to-run reproducibility witness of the bench JSON.  Threads vs
+    processes on the same seed must agree bit-for-bit -- the workers
+    phase's ``checksums_identical`` gate compares the two.
     """
     cluster = ClusterBroker.from_values(
         values, k=devices, shards=shards, seed=seed, partition=partition
@@ -411,7 +383,7 @@ def run_cluster_bench(
             phase.update(_pruning_stats(gateway.telemetry))
             routed_phases[str(s)] = phase
         if shard_counts:
-            routed_phases["determinism_checksum"] = _determinism_checksum(
+            routed_phases["determinism_checksum"] = _backend_checksum(
                 values,
                 devices,
                 max(shard_counts),
@@ -419,6 +391,7 @@ def run_cluster_bench(
                 routed_ranges,
                 routed_tiers,
                 "range-sharded",
+                "threads",
             )
         payload["routed"] = routed_phases
 
@@ -519,7 +492,7 @@ def run_cluster_bench(
         payload["failover"] = phase
 
     if shard_counts:
-        payload["determinism_checksum"] = _determinism_checksum(
+        payload["determinism_checksum"] = _backend_checksum(
             values,
             devices,
             max(shard_counts),
@@ -527,5 +500,6 @@ def run_cluster_bench(
             query_ranges,
             tiers,
             partition,
+            "threads",
         )
     return payload

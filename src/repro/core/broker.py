@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.core.planner import QueryPlanner
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settle import SettleMixin, Trade
 from repro.errors import InfeasiblePlanError
@@ -33,7 +33,7 @@ from repro.iot.base_station import BaseStation
 from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
-from repro.privacy.laplace import sample_laplace, sample_laplace_many
+from repro.privacy.laplace import sample_laplace_many
 from repro.resilience.deadline import check_deadline
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
@@ -95,8 +95,8 @@ class DataBroker(SettleMixin):
     journal: "Optional[TradeJournal]" = None
 
     def __post_init__(self) -> None:
-        # Cache of released answers keyed by (query, spec, sample rate);
-        # see ``memoize_answers`` in :meth:`answer`.
+        # Cache of released answers keyed by (range, α, δ); see
+        # ``memoize_answers`` in :meth:`answer_batch`.
         self._answer_cache: "dict[tuple, PrivateAnswer]" = {}
         # Memo of optimizer runs: the grid search is a pure function of
         # (α, δ, p) for this broker's fixed fleet shape, and cluster
@@ -150,86 +150,8 @@ class DataBroker(SettleMixin):
         spec: AccuracySpec,
         consumer: str = "anonymous",
     ) -> PrivateAnswer:
-        """Run the full trade: plan, estimate, perturb, charge.
-
-        Returns the :class:`PrivateAnswer` released to the consumer.  Cost
-        of any triggered top-up round lands on the network meter; the
-        privacy cost ε′ is charged to the accountant under this broker's
-        dataset key.
-        """
-        if query.dataset not in ("default", self.dataset):
-            raise ValueError(
-                f"query targets dataset {query.dataset!r}, broker serves "
-                f"{self.dataset!r}"
-            )
-        self.policy.admit(consumer, spec)
-
-        cache_key = (query.low, query.high, spec.alpha, spec.delta)
-        if self.memoize_answers and cache_key in self._answer_cache:
-            return self.replay(self._answer_cache[cache_key], consumer)
-
-        with self._timer("broker.plan_s"):
-            self._ensure_feasible(spec)
-            p = self.base_station.sampling_rate
-            plan = self._plan(spec, p)
-        if not self.policy.can_release(consumer, plan.epsilon_prime):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-
-        with self._timer("broker.estimate_s"):
-            samples = self.base_station.samples()
-            estimate = self.estimator.estimate(samples, query.low, query.high)
-        noise = float(sample_laplace(plan.noise_scale, self.rng))
-        raw_value = estimate.estimate + noise
-        released = float(min(max(raw_value, 0.0), float(self.base_station.n)))
-
-        with self._timer("broker.charge_s"):
-            price = self.pricing.price(spec.alpha, spec.delta)
-            self._journal_trades([dict(
-                kind="release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=spec.alpha,
-                delta=spec.delta,
-                epsilon_prime=plan.epsilon_prime,
-                price=price,
-                store_version=self.base_station.store_version,
-                label=f"{consumer}:[{query.low},{query.high}]",
-            )])
-            self.policy.settle(consumer, plan.epsilon_prime)
-            self.accountant.charge(
-                self.dataset,
-                plan.epsilon_prime,
-                label=f"{consumer}:[{query.low},{query.high}]",
-            )
-            txn = self.ledger.record(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=spec.alpha,
-                delta=spec.delta,
-                price=price,
-                epsilon_prime=plan.epsilon_prime,
-            )
-        self._emit("broker.answers")
-        self._emit("broker.epsilon_spent", plan.epsilon_prime)
-        answer = PrivateAnswer(
-            value=released,
-            raw_value=raw_value,
-            sample_estimate=estimate.estimate,
-            query=query,
-            spec=spec,
-            plan=plan,
-            price=price,
-            consumer=consumer,
-            transaction_id=txn.transaction_id,
-        )
-        if self.memoize_answers:
-            self._answer_cache[cache_key] = answer
-        return answer
+        """Run the full trade for one query (see :meth:`answer_batch`)."""
+        return self.answer_batch([query], spec, consumer=consumer)[0]
 
     def answer_batch(
         self,
@@ -237,40 +159,39 @@ class DataBroker(SettleMixin):
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
     ) -> "list[PrivateAnswer]":
-        """Answer several queries in one vectorized pass.
+        """Run the trade for a batch: plan, estimate, perturb, charge.
 
-        Semantically identical to calling :meth:`answer` per query --
-        each release is separately noised and separately charged
-        (different ranges overlap, so sequential composition applies) and
-        the memoized-answer cache behaves exactly as in the scalar loop
-        (cache hits, including duplicates *within* the batch, cost
-        ε′ = 0) -- but the work is amortized across the batch:
+        The broker's one release path; :meth:`answer` is a batch of one.
+        Each release is separately noised and separately charged
+        (different ranges overlap, so sequential composition applies).
+        With ``memoize_answers`` a repeated ``(range, α, δ)`` -- also a
+        duplicate of an earlier query in the same batch -- is replayed at
+        ε′ = 0 instead.  The work is shared across the batch:
 
         * feasibility, privacy planning, and pricing run **once per
-          distinct** ``(α, δ)`` tier instead of once per query;
+          distinct** ``(α, δ)`` tier;
         * the sample store is fetched once and all deterministic
           estimates come from the estimator's vectorized
-          ``estimate_many`` (bit-identical to scalar ``estimate``);
+          ``estimate_many`` (bit-identical to its ``estimate``);
         * Laplace noise is drawn in one vectorized call that consumes
-          the generator's bitstream exactly like per-query draws, so
-          batched answers are bit-for-bit the scalar loop's answers;
+          the generator's bitstream exactly like one draw per query in
+          query order;
         * ledger transactions and accountant entries are appended in
-          bulk, in query order, with per-entry records unchanged.
+          bulk, one per query, in query order.
 
         ``spec`` may be a single shared tier or one
         :class:`AccuracySpec` per query.  Admission is **atomic**: the
         whole batch is checked against the policy's purchase and ε′ caps
-        (and the dataset budget) before anything is released, so a batch
-        either completes in full or charges nothing.  When mixed tiers
-        trigger a top-up, every tier is planned at the final post-top-up
-        rate (a scalar loop would plan earlier queries at the sparser
-        pre-top-up rate; both plans are valid, the batch's is tighter).
+        (and the dataset budget) before anything is journaled or
+        released, so a batch either completes in full or charges nothing.
+        When mixed tiers trigger a top-up, every tier is planned at the
+        final post-top-up rate.
         """
         specs = self._intake(queries, spec, consumer)
 
         # Split the batch into cache hits and fresh releases, walking the
-        # cache exactly as the scalar loop would: a duplicate of an
-        # earlier in-batch release is a hit against that release.
+        # cache in query order: a duplicate of an earlier in-batch
+        # release is a hit against that release.
         cache_keys = [
             (q.low, q.high, s.alpha, s.delta) for q, s in zip(queries, specs)
         ]
@@ -288,8 +209,7 @@ class DataBroker(SettleMixin):
                     in_batch_source[key] = i
 
         # Feasibility, planning, and pricing: once per distinct tier that
-        # actually needs a fresh release (pure-hit tiers touch no data,
-        # as in the scalar path).
+        # actually needs a fresh release (pure-hit tiers touch no data).
         miss_tiers: "dict[tuple[float, float], AccuracySpec]" = {}
         for i in miss_indices:
             miss_tiers.setdefault((specs[i].alpha, specs[i].delta), specs[i])
@@ -338,10 +258,10 @@ class DataBroker(SettleMixin):
             raw_values = estimates + noise
             released = np.clip(raw_values, 0.0, float(self.base_station.n))
 
-        # Settle in query order: identical per-entry ledger transactions,
-        # accountant entries, and policy counters to the scalar loop --
-        # appended in bulk, and journaled as one atomic batch *before*
-        # any accounting state mutates (journal-before-release, RL006).
+        # Settle in query order: one ledger transaction, accountant entry
+        # and policy count per query, appended in bulk, and journaled as
+        # one atomic batch *before* any accounting state mutates
+        # (journal-before-release, RL006).
         answers: "list[Optional[PrivateAnswer]]" = [None] * len(queries)
         trades: "list[Trade]" = []
         for i, (query, qspec) in enumerate(zip(queries, specs)):

@@ -113,16 +113,7 @@ class Marketplace:
                 f"cover quoted price {price:.6g}"
             )
         answer = self.broker.answer(query, spec, consumer=consumer)
-        wallet.withdraw(answer.price)
-        self.settlements.append(
-            Settlement(
-                consumer=consumer,
-                query=query,
-                spec=spec,
-                price=answer.price,
-                epsilon_prime=answer.epsilon_prime,
-            )
-        )
+        self.settle_answer(consumer, answer)
         return answer
 
     def settle_answer(self, consumer: str, answer: PrivateAnswer) -> Settlement:
@@ -173,17 +164,8 @@ class Marketplace:
                 f"cover quoted batch price {total:.6g}"
             )
         answers = self.broker.answer_batch(queries, spec, consumer=consumer)
-        for query, answer in zip(queries, answers):
-            wallet.withdraw(answer.price)
-            self.settlements.append(
-                Settlement(
-                    consumer=consumer,
-                    query=query,
-                    spec=spec,
-                    price=answer.price,
-                    epsilon_prime=answer.epsilon_prime,
-                )
-            )
+        for answer in answers:
+            self.settle_answer(consumer, answer)
         return answers
 
     @property

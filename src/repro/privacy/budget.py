@@ -8,10 +8,10 @@ spent by every released answer under sequential composition and refuses
 releases that would overspend.
 
 Beside each dataset's history it keeps a running Σ ε, folded in one
-entry at a time in history order.  ``sequential_composition`` is
-``float(sum(...))``, which on CPython 3.10 and 3.11 adds left to right
-from 0, so the running total is bit-identical to composing the history,
-and a spend query or charge costs O(1) however long the history grows.
+entry at a time in history order.  ``sequential_composition`` is a
+left-to-right fold from 0.0, so the running total is bit-identical to
+composing the history on every CPython, and a spend query or charge
+costs O(1) however long the history grows.
 """
 
 from __future__ import annotations

@@ -31,9 +31,17 @@ def _validate(epsilons: Sequence[float]) -> None:
 
 
 def sequential_composition(epsilons: Sequence[float]) -> float:
-    """Total budget of sequential releases on the same data: ``Σ ε_i``."""
+    """Total budget of sequential releases on the same data: ``Σ ε_i``.
+
+    A plain left-to-right fold from 0.0, the order the accountants' running
+    totals add in.  Not ``sum``: from CPython 3.12 it compensates, which
+    would change the last bits against those totals.
+    """
     _validate(epsilons)
-    return float(sum(epsilons))
+    total = 0.0
+    for eps in epsilons:
+        total += float(eps)
+    return total
 
 
 def parallel_composition(epsilons: Sequence[float]) -> float:

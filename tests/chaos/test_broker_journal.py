@@ -9,6 +9,8 @@ from repro.core.policy import BrokerPolicy, PolicyViolationError
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.durability.journal import TradeJournal
+from repro.errors import DeadlineExceededError, PrivacyBudgetExceededError
+from repro.resilience import Deadline, ManualClock, deadline_scope
 from repro.streaming.broker import StreamingBroker
 from tests.chaos.conftest import DEVICES, RANGES, RECORDS
 from tests.streaming.test_broker import FLOOR as STREAM_FLOOR
@@ -88,7 +90,7 @@ class TestDataBrokerJournal:
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(broker.accountant, "charge", crash)
+        monkeypatch.setattr(broker.accountant, "charge_many", crash)
         with pytest.raises(RuntimeError):
             service.answer(10.0, 70.0, 0.1, 0.5, consumer="alice")
         assert len(broker.journal) == 1
@@ -201,5 +203,58 @@ def test_epsilon_cap_refusal_is_atomic(kind):
     assert len(broker.ledger) == 0
     assert broker.accountant.datasets() == ()
     assert broker.policy.purchases_by("mallory") == 0
+    if kind == "streaming":
+        assert broker.epoch_accountant.live_total(broker.dataset) == 0.0
+
+
+def _journaled_broker(kind):
+    if kind == "streaming":
+        return make_streaming_broker(journal=TradeJournal())
+    return build_service(shards=2 if kind == "cluster" else 1).broker
+
+
+def _books(broker, consumer):
+    epochs = getattr(broker, "epoch_accountant", None)
+    return (
+        len(broker.journal),
+        len(broker.ledger),
+        broker.accountant.history(broker.dataset),
+        broker.policy.purchases_by(consumer),
+        epochs.live_total(broker.dataset) if epochs is not None else None,
+    )
+
+
+@pytest.mark.parametrize("kind", ["core", "cluster", "streaming"])
+def test_dataset_capacity_refusal_of_one_answer_books_nothing(kind):
+    """``answer`` refused at the dataset's ε capacity leaves every book as
+    it was: no journal record, no purchase, no sale, no charge."""
+    broker = _journaled_broker(kind)
+    dataset = "stream" if kind == "streaming" else "default"
+    _, spec = _ranges_for(broker)
+    broker.answer(RangeQuery(low=20.0, high=70.0, dataset=dataset), spec, "alice")
+    broker.accountant.capacity = broker.accountant.spent(broker.dataset)
+    before = _books(broker, "alice")
+    with pytest.raises(PrivacyBudgetExceededError):
+        broker.answer(
+            RangeQuery(low=30.0, high=60.0, dataset=dataset), spec, "alice"
+        )
+    assert _books(broker, "alice") == before
+
+
+@pytest.mark.parametrize("kind", ["core", "cluster", "streaming"])
+def test_expired_deadline_refuses_one_answer_before_booking(kind):
+    """``answer`` under an expired deadline journals, charges and bills
+    nothing."""
+    broker = _journaled_broker(kind)
+    queries, spec = _ranges_for(broker)
+    clock = ManualClock()
+    deadline = Deadline.after(0.1, clock=clock)
+    clock.advance(1.0)
+    with deadline_scope(deadline), pytest.raises(DeadlineExceededError):
+        broker.answer(queries[0], spec, consumer="alice")
+    assert len(broker.journal) == 0
+    assert len(broker.ledger) == 0
+    assert broker.accountant.datasets() == ()
+    assert broker.policy.purchases_by("alice") == 0
     if kind == "streaming":
         assert broker.epoch_accountant.live_total(broker.dataset) == 0.0

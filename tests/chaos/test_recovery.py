@@ -146,7 +146,7 @@ class TestCrashWindow:
         def crash(*args, **kwargs):
             raise RuntimeError("simulated crash after journal append")
 
-        monkeypatch.setattr(broker.accountant, "charge", crash)
+        monkeypatch.setattr(broker.accountant, "charge_many", crash)
         with pytest.raises(RuntimeError):
             service.answer(10.0, 70.0, 0.1, 0.5, consumer="c0")
 

@@ -26,13 +26,13 @@ TELEMETRY = "src/repro/serving/telemetry.py"
 MUTATION_RL001I = {
     BROKER: [
         (
-            "        noise = float(sample_laplace(plan.noise_scale, self.rng))\n"
-            "        raw_value = estimate.estimate + noise\n",
-            "        raw_value = self._release_value(estimate.estimate, plan.noise_scale)\n",
+            "            noise = sample_laplace_many(scales, self.rng)\n"
+            "            raw_values = estimates + noise\n",
+            "            raw_values = self._release_values(estimates, scales)\n",
         ),
         (
             "    def answer_batch(",
-            "    def _release_value(self, raw, scale):\n"
+            "    def _release_values(self, raw, scales):\n"
             "        return raw\n"
             "\n"
             "    def answer_batch(",
@@ -40,27 +40,26 @@ MUTATION_RL001I = {
     ]
 }
 
+#: A booking helper that charges only batches of more than one trade, so
+#: every single-query ``answer`` would release uncharged.
 MUTATION_RL007 = {
     BROKER: [
         (
-            "            self.policy.settle(consumer, plan.epsilon_prime)\n"
-            "            self.accountant.charge(\n"
-            "                self.dataset,\n"
-            "                plan.epsilon_prime,\n"
-            '                label=f"{consumer}:[{query.low},{query.high}]",\n'
-            "            )\n",
-            "            self._settle_and_charge(consumer, plan, query)\n",
+            "            txns = self._book(consumer, records)\n",
+            "            txns = self._settle_and_charge(consumer, records)\n",
         ),
         (
             "    def answer_batch(",
-            "    def _settle_and_charge(self, consumer, plan, query):\n"
-            "        self.policy.settle(consumer, plan.epsilon_prime)\n"
-            "        if plan.epsilon_prime > 1.0:\n"
-            "            self.accountant.charge(\n"
+            "    def _settle_and_charge(self, consumer, records):\n"
+            "        for record in records:\n"
+            '            self.policy.settle(consumer, record["epsilon_prime"])\n'
+            "        if len(records) > 1:\n"
+            "            self.accountant.charge_many(\n"
             "                self.dataset,\n"
-            "                plan.epsilon_prime,\n"
-            '                label=f"{consumer}:[{query.low},{query.high}]",\n'
+            '                [record["epsilon_prime"] for record in records],\n'
+            '                [record["label"] for record in records],\n'
             "            )\n"
+            "        return self.ledger.record_many(records)\n"
             "\n"
             "    def answer_batch(",
         ),
@@ -167,7 +166,7 @@ def test_head_tree_has_no_interprocedural_findings(head_contexts):
 
 
 # ----------------------------------------------------------------------
-# (a) RL001i: Laplace deleted in a helper called by the answer path
+# (a) RL001i: Laplace deleted in a helper called by the release path
 # ----------------------------------------------------------------------
 def test_rl001i_taint_through_helper_return(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL001I, only=["RL001i"])
@@ -302,9 +301,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "        released = float(min(max(raw_value, 0.0), float(self.base_station.n)))",
-                "        bounded = raw_value\n"
-                "        released = float(min(max(bounded, 0.0), float(self.base_station.n)))",
+                "            released = np.clip(raw_values, 0.0, float(self.base_station.n))",
+                "            bounded = raw_values\n"
+                "            released = np.clip(bounded, 0.0, float(self.base_station.n))",
             ),
         ]
     }

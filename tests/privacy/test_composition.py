@@ -28,6 +28,14 @@ class TestSequential:
         with pytest.raises(ValueError):
             sequential_composition([0.1, -0.2])
 
+    def test_adds_left_to_right_without_compensation(self):
+        # Each 1e-16 is under half an ulp of 1.0, so a left fold drops both;
+        # compensated summation (math.fsum, ``sum`` on CPython >= 3.12)
+        # keeps them.  The accountants' running totals fold left to right.
+        epsilons = [1.0, 1e-16, 1e-16]
+        assert math.fsum(epsilons) != 1.0
+        assert sequential_composition(epsilons) == 1.0
+
 
 class TestParallel:
     def test_max(self):
