@@ -4,7 +4,9 @@ Identical repeated queries can be served from a cache of already-released
 answers: re-releasing a published value is post-processing (zero
 additional ε), and the Example 4.1 adversary's averaged portfolio
 collapses to a single cheap answer.  This bench quantifies both effects
-against a deliberately attackable price sheet.
+against a deliberately attackable price sheet: the fresh-noise arm buys
+straight from the broker, the memoized arm buys through the serving
+gateway, whose answer cache replays the first release.
 """
 
 from __future__ import annotations
@@ -18,20 +20,32 @@ from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.pricing.functions import PowerLawVariancePricing
 from repro.pricing.variance_model import VarianceModel
+from repro.serving import ServingConfig
 
 TARGET = AccuracySpec(alpha=0.05, delta=0.8)
 QUERY_BOUNDS = (80.0, 110.0)
 
 
-def _service(values, memoize):
+def _service(values):
     pricing = PowerLawVariancePricing(
         VarianceModel(n=len(values)), exponent=2.0, base_price=1e10
     )
-    service = PrivateRangeCountingService.from_values(
+    return PrivateRangeCountingService.from_values(
         values, k=DEVICE_COUNT, dataset="ozone", seed=13, pricing=pricing
     )
-    service.broker.memoize_answers = memoize
-    return service
+
+
+def _attack_through_cache(service, adversary, query):
+    """The adversary's averaging attack, bought through the gateway."""
+    attack = adversary.plan_attack(service.broker, TARGET)
+    cheap = AccuracySpec(alpha=attack.purchase[0], delta=attack.purchase[1])
+    with service.serve(ServingConfig(batch_window=0.001)) as gateway:
+        answers = [
+            gateway.submit(query, cheap, consumer=adversary.name).result()
+            for _ in range(attack.copies)
+        ]
+    averaged = sum(a.raw_value for a in answers) / len(answers)
+    return len(answers), sum(a.price for a in answers), averaged
 
 
 def test_ablation_memoization_defense(citypulse, benchmark, save_result):
@@ -46,16 +60,23 @@ def test_ablation_memoization_defense(citypulse, benchmark, save_result):
     def run():
         rows = []
         for memoize in (False, True):
-            service = _service(values, memoize)
+            service = _service(values)
             adversary = ArbitrageConsumer(name="eve")
-            outcome = adversary.attempt(service.broker, query, TARGET)
-            n = service.n
+            if memoize:
+                purchases, paid, estimate = _attack_through_cache(
+                    service, adversary, query
+                )
+            else:
+                outcome = adversary.attempt(service.broker, query, TARGET)
+                purchases, paid, estimate = (
+                    outcome.purchases, outcome.paid, outcome.estimate
+                )
             rows.append(
                 (
                     "memoized" if memoize else "fresh-noise",
-                    outcome.purchases,
-                    float(outcome.paid),
-                    float(abs(outcome.estimate - truth) / n),
+                    purchases,
+                    float(paid),
+                    float(abs(estimate - truth) / service.n),
                     float(service.privacy_spent()),
                 )
             )

@@ -34,7 +34,6 @@ from repro.core import (
     ArbitrageConsumer,
     ArbitrageOutcome,
     AuditReport,
-    ContinuousMonitor,
     DataBroker,
     HonestConsumer,
     Marketplace,
@@ -44,7 +43,6 @@ from repro.core import (
     RangeQuery,
     Settlement,
     Wallet,
-    WindowRelease,
     audit_answer,
     audit_noise_scale,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "AuditReport",
     "audit_answer",
     "audit_noise_scale",
-    "ContinuousMonitor",
-    "WindowRelease",
     "DataBroker",
     "HonestConsumer",
     "Marketplace",

@@ -1,15 +1,14 @@
 """Core trading pipeline: queries, planning, broker, consumers, marketplace.
 
-Extensions beyond the paper's one-shot setting live here too:
-:mod:`repro.core.continuous` (standing queries over windowed arrival) and
-:mod:`repro.core.audit` (consumer-side verification of purchased answers).
+Extensions beyond the paper's one-shot setting live here too, such as
+:mod:`repro.core.audit` (consumer-side verification of purchased answers);
+standing queries over arriving data are :mod:`repro.streaming`.
 """
 
 from repro.core.audit import AuditFinding, AuditReport, audit_answer, audit_noise_scale
 from repro.core.broker import DataBroker
 from repro.core.catalog import DataCatalog, UnknownDatasetError
 from repro.core.consumer import ArbitrageConsumer, ArbitrageOutcome, HonestConsumer
-from repro.core.continuous import ContinuousMonitor, WindowRelease
 from repro.core.histogram import (
     HistogramRelease,
     equal_width_edges,
@@ -39,11 +38,9 @@ __all__ = [
     "ArbitrageConsumer",
     "ArbitrageOutcome",
     "HonestConsumer",
-    "ContinuousMonitor",
     "HistogramRelease",
     "equal_width_edges",
     "release_histogram",
-    "WindowRelease",
     "QueryPlanner",
     "BrokerPolicy",
     "PolicyViolationError",

@@ -16,7 +16,6 @@ For each purchased query the broker
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -81,7 +80,6 @@ class DataBroker(SettleMixin):
     auto_top_up: bool = True
     planner_grid_points: int = 512
     policy: BrokerPolicy = field(default_factory=BrokerPolicy)
-    memoize_answers: bool = False
     #: Optional :class:`~repro.serving.telemetry.MetricsRegistry`; when
     #: set, the broker reports stage timings and release counters under
     #: ``broker.*``.  Duck-typed (no serving import) to keep the core
@@ -95,9 +93,6 @@ class DataBroker(SettleMixin):
     journal: "Optional[TradeJournal]" = None
 
     def __post_init__(self) -> None:
-        # Cache of released answers keyed by (range, α, δ); see
-        # ``memoize_answers`` in :meth:`answer_batch`.
-        self._answer_cache: "dict[tuple, PrivateAnswer]" = {}
         # Memo of optimizer runs: the grid search is a pure function of
         # (α, δ, p) for this broker's fixed fleet shape, and cluster
         # routing multiplies the distinct sub-specs each shard sees per
@@ -163,10 +158,10 @@ class DataBroker(SettleMixin):
 
         The broker's one release path; :meth:`answer` is a batch of one.
         Each release is separately noised and separately charged
-        (different ranges overlap, so sequential composition applies).
-        With ``memoize_answers`` a repeated ``(range, α, δ)`` -- also a
-        duplicate of an earlier query in the same batch -- is replayed at
-        ε′ = 0 instead.  The work is shared across the batch:
+        (different ranges overlap, so sequential composition applies);
+        a repeat is replayed at ε′ = 0 only through :meth:`replay`, which
+        the serving gateway's answer cache calls.  The work is shared
+        across the batch:
 
         * feasibility, privacy planning, and pricing run **once per
           distinct** ``(α, δ)`` tier;
@@ -189,89 +184,55 @@ class DataBroker(SettleMixin):
         """
         specs = self._intake(queries, spec, consumer)
 
-        # Split the batch into cache hits and fresh releases, walking the
-        # cache in query order: a duplicate of an earlier in-batch
-        # release is a hit against that release.
-        cache_keys = [
-            (q.low, q.high, s.alpha, s.delta) for q, s in zip(queries, specs)
-        ]
-        miss_indices: "list[int]" = []
-        in_batch_source: "dict[tuple, int]" = {}
-        hit_of: "dict[int, PrivateAnswer | int]" = {}
-        for i, key in enumerate(cache_keys):
-            if self.memoize_answers and key in self._answer_cache:
-                hit_of[i] = self._answer_cache[key]
-            elif self.memoize_answers and key in in_batch_source:
-                hit_of[i] = in_batch_source[key]
-            else:
-                miss_indices.append(i)
-                if self.memoize_answers:
-                    in_batch_source[key] = i
-
-        # Feasibility, planning, and pricing: once per distinct tier that
-        # actually needs a fresh release (pure-hit tiers touch no data).
-        miss_tiers: "dict[tuple[float, float], AccuracySpec]" = {}
-        for i in miss_indices:
-            miss_tiers.setdefault((specs[i].alpha, specs[i].delta), specs[i])
+        # Feasibility, planning, and pricing: once per distinct tier.
+        tiers: "dict[tuple[float, float], AccuracySpec]" = {}
+        for qspec in specs:
+            tiers.setdefault((qspec.alpha, qspec.delta), qspec)
         with self._timer("broker.batch.plan_s"):
-            for tier_spec in miss_tiers.values():
+            for tier_spec in tiers.values():
                 self._ensure_feasible(tier_spec)
             p = self.base_station.sampling_rate
             plans = {
                 tier: self._plan(tier_spec, p)
-                for tier, tier_spec in miss_tiers.items()
+                for tier, tier_spec in tiers.items()
             }
-            prices = {
-                (s.alpha, s.delta): self.pricing.price(s.alpha, s.delta)
-                for s in specs
-            }
+            prices = {tier: self.pricing.price(*tier) for tier in tiers}
+        query_plans = [plans[(s.alpha, s.delta)] for s in specs]
 
         # Atomic admission against the ε′ caps: the whole batch must fit
         # before anything is estimated, noised, or charged.
-        total_epsilon = sum(
-            plans[(specs[i].alpha, specs[i].delta)].epsilon_prime
-            for i in miss_indices
-        )
-        self._admit_epsilon(consumer, total_epsilon, len(miss_indices))
+        total_epsilon = sum(plan.epsilon_prime for plan in query_plans)
+        self._admit_epsilon(consumer, total_epsilon, len(queries))
 
         # One sample fetch, one vectorized estimation pass, one noise draw.
-        estimates = np.zeros(0, dtype=np.float64)
-        if miss_indices:
-            with self._timer("broker.batch.estimate_s"):
-                samples = self.base_station.samples()
-                ranges = [
-                    (queries[i].low, queries[i].high) for i in miss_indices
-                ]
-                estimate_many = getattr(self.estimator, "estimate_many", None)
-                if estimate_many is not None:
-                    estimates = np.asarray(estimate_many(samples, ranges))
-                else:
-                    estimates = np.asarray([
-                        self.estimator.estimate(samples, low, high).estimate
-                        for low, high in ranges
-                    ])
-            scales = np.asarray([
-                plans[(specs[i].alpha, specs[i].delta)].noise_scale
-                for i in miss_indices
-            ])
-            noise = sample_laplace_many(scales, self.rng)
-            raw_values = estimates + noise
-            released = np.clip(raw_values, 0.0, float(self.base_station.n))
+        with self._timer("broker.batch.estimate_s"):
+            samples = self.base_station.samples()
+            ranges = [(q.low, q.high) for q in queries]
+            estimate_many = getattr(self.estimator, "estimate_many", None)
+            if estimate_many is not None:
+                estimates = np.asarray(estimate_many(samples, ranges))
+            else:
+                estimates = np.asarray([
+                    self.estimator.estimate(samples, low, high).estimate
+                    for low, high in ranges
+                ])
+        scales = np.asarray([plan.noise_scale for plan in query_plans])
+        noise = sample_laplace_many(scales, self.rng)
+        raw_values = estimates + noise
+        released = np.clip(raw_values, 0.0, float(self.base_station.n))
 
         # Settle in query order: one ledger transaction, accountant entry
         # and policy count per query, appended in bulk, and journaled as
         # one atomic batch *before* any accounting state mutates
         # (journal-before-release, RL006).
-        answers: "list[Optional[PrivateAnswer]]" = [None] * len(queries)
-        trades: "list[Trade]" = []
-        for i, (query, qspec) in enumerate(zip(queries, specs)):
-            tier = (qspec.alpha, qspec.delta)
-            kind, epsilon_prime = (
-                ("replay", 0.0) if i in hit_of
-                else ("release", plans[tier].epsilon_prime)
+        trades: "list[Trade]" = [
+            (
+                "release", query, qspec, plan.epsilon_prime,
+                prices[(qspec.alpha, qspec.delta)],
+                f"{consumer}:[{query.low},{query.high}]",
             )
-            label = f"{consumer}:[{query.low},{query.high}]"
-            trades.append((kind, query, qspec, epsilon_prime, prices[tier], label))
+            for query, qspec, plan in zip(queries, specs, query_plans)
+        ]
         records = self._trade_records(
             consumer, trades, self.base_station.store_version
         )
@@ -283,33 +244,23 @@ class DataBroker(SettleMixin):
             txns = self._book(consumer, records)
         self._emit("broker.batches")
         self._emit("broker.answers", len(queries))
-        self._emit("broker.replays", len(hit_of))
         self._emit("broker.epsilon_spent", total_epsilon)
         if self.telemetry is not None:
             self.telemetry.observe("broker.batch_width", len(queries))
 
-        for pos, i in enumerate(miss_indices):
-            query, qspec = queries[i], specs[i]
-            answer = PrivateAnswer(
-                value=float(released[pos]),
-                raw_value=float(raw_values[pos]),
-                sample_estimate=float(estimates[pos]),
+        return [
+            PrivateAnswer(
+                value=float(released[i]),
+                raw_value=float(raw_values[i]),
+                sample_estimate=float(estimates[i]),
                 query=query,
                 spec=qspec,
-                plan=plans[(qspec.alpha, qspec.delta)],
+                plan=plan,
                 price=prices[(qspec.alpha, qspec.delta)],
                 consumer=consumer,
                 transaction_id=txns[i].transaction_id,
             )
-            answers[i] = answer
-            if self.memoize_answers:
-                self._answer_cache[cache_keys[i]] = answer
-        for i, source in hit_of.items():
-            cached = answers[source] if isinstance(source, int) else source
-            answers[i] = dataclasses.replace(
-                cached,
-                consumer=consumer,
-                price=txns[i].price,
-                transaction_id=txns[i].transaction_id,
+            for i, (query, qspec, plan) in enumerate(
+                zip(queries, specs, query_plans)
             )
-        return answers
+        ]

@@ -161,10 +161,10 @@ def expected_accounting(
     Returns ``(expected_revenue, expected_epsilon)``.  Every request is
     billed at list price.  With the gateway cache enabled, only the first
     occurrence of each ``(range, tier)`` pair spends its plan's ε′ -- all
-    repeats replay at zero -- matching what serial calls against a
-    memoizing broker would spend.  Requires a pre-collected store (the
-    sampling rate must already support every tier), so plans are
-    independent of request order.
+    repeats replay at zero through the broker's ``replay`` -- matching
+    what serial calls through that cache would spend.  Requires a
+    pre-collected store (the sampling rate must already support every
+    tier), so plans are independent of request order.
     """
     broker = gateway.broker
     p = broker.base_station.sampling_rate

@@ -34,9 +34,7 @@ from repro.streaming.window import (
     merge_epoch_summaries,
     pooled_estimate,
     pooled_estimate_many,
-    pooled_plan,
     pooled_rate,
-    pooled_samples,
     window_checksum,
 )
 
@@ -58,9 +56,7 @@ __all__ = [
     "merge_epoch_summaries",
     "pooled_estimate",
     "pooled_estimate_many",
-    "pooled_plan",
     "pooled_rate",
-    "pooled_samples",
     "rebuild_window_state",
     "run_streaming_bench",
     "streaming_bench_healthy",

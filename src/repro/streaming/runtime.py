@@ -11,9 +11,9 @@ deterministic seeding discipline as :func:`repro.cluster.build_cluster`
 so a seeded run is bit-reproducible end to end.
 
 The :class:`StreamingCluster` coordinates epoch rolls: it computes **one**
-shared Bernoulli rate per epoch (calibrated with the same planner headroom
-convention as :class:`~repro.core.continuous.ContinuousMonitor` -- half
-the floor tolerance, half the residual confidence -- so window plans keep
+shared Bernoulli rate per epoch (calibrated with the same headroom as
+:meth:`~repro.core.planner.QueryPlanner.required_rate` -- half the floor
+tolerance, half the residual confidence -- so window plans keep
 ε-optimization slack), seals every shard at that rate, folds the shard
 summaries into the station (which push-invalidates the serving cache),
 expires departed epoch budgets, and publishes window gauges.
@@ -207,10 +207,11 @@ class StreamingCluster:
 
         Calibrated so the *post-roll* window supports the floor product
         with planner headroom (half the tolerance, half the residual
-        confidence -- the :class:`~repro.core.continuous.ContinuousMonitor`
-        convention): ``k_eff`` counts surviving window samples plus every
-        device (each may contribute one non-empty sample this epoch), and
-        ``n`` counts surviving records plus the pending arrivals.
+        confidence, as in
+        :meth:`~repro.core.planner.QueryPlanner.required_rate`): ``k_eff``
+        counts surviving window samples plus every device (each may
+        contribute one non-empty sample this epoch), and ``n`` counts
+        surviving records plus the pending arrivals.
         """
         snapshot = self.station.snapshot()
         window = self.config.window_epochs

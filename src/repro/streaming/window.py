@@ -2,8 +2,8 @@
 
 The unit of streaming state is the :class:`EpochSummary`: one sealed
 epoch's per-node rank samples, all drawn at one shared Bernoulli rate.  A
-sealed epoch behaves exactly like a paper *generation* (see
-:mod:`repro.core.continuous`): ranks are local to the epoch, so a window
+sealed epoch behaves exactly like a paper *generation* (a frozen
+per-device sub-dataset): ranks are local to the epoch, so a window
 query is answered by summing RankCounting estimates over the live epochs,
 and with ``k_eff`` non-empty node samples across the window the variance
 bound ``8·k_eff/p²`` and Theorem 3.3 carry over unchanged.
@@ -25,23 +25,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InsufficientSamplesError, StreamingError
 from repro.estimators.base import NodeSample, RangeCountingEstimator
-from repro.privacy.optimizer import PrivacyPlan, optimize_privacy_plan
 
 __all__ = [
     "EpochSummary",
     "WindowSummary",
     "merge_epoch_summaries",
-    "pooled_samples",
     "pooled_rate",
     "pooled_estimate",
     "pooled_estimate_many",
-    "pooled_plan",
     "window_checksum",
 ]
 
@@ -242,14 +239,8 @@ class WindowSummary:
 
 
 # ----------------------------------------------------------------------
-# pooled (cross-epoch) helpers -- shared by StreamingBroker and the
-# ContinuousMonitor compatibility wrapper
+# pooled (cross-epoch) helpers
 # ----------------------------------------------------------------------
-def pooled_samples(epochs: Sequence[EpochSummary]) -> List[NodeSample]:
-    """All node samples across ``epochs``, in epoch-then-rank order."""
-    return [s for summary in epochs for s in summary.samples]
-
-
 def pooled_rate(epochs: Sequence[EpochSummary]) -> float:
     """The sparsest live sample's rate -- it bounds certified accuracy."""
     rates = [s.p for summary in epochs for s in summary.samples]
@@ -295,33 +286,6 @@ def pooled_estimate_many(
                 for low, high in ranges
             ])
     return totals
-
-
-def pooled_plan(
-    epochs: Sequence[EpochSummary],
-    alpha: float,
-    delta: float,
-    grid_points: int = 512,
-) -> PrivacyPlan:
-    """Solve optimization problem (3) for a window query.
-
-    Uses the pooled fleet shape: ``k`` = all live node samples, ``n`` = the
-    window record total, ``p`` = the sparsest live rate (certified
-    accuracy is bounded by the sparsest epoch, exactly as in
-    :class:`~repro.core.continuous.ContinuousMonitor`).
-    """
-    samples = pooled_samples(epochs)
-    if not samples:
-        raise InsufficientSamplesError("window holds no samples yet")
-    n = sum(summary.record_count for summary in epochs)
-    return optimize_privacy_plan(
-        alpha=alpha,
-        delta=delta,
-        p=pooled_rate(epochs),
-        k=len(samples),
-        n=n,
-        grid_points=grid_points,
-    )
 
 
 def window_checksum(epochs: Iterable[EpochSummary]) -> str:

@@ -59,9 +59,8 @@ class TestDataBrokerJournal:
     def test_replay_journals_zero_epsilon_but_full_price(self):
         service = build_service()
         broker = service.broker
-        broker.memoize_answers = True
         first = service.answer(10.0, 70.0, 0.1, 0.5, consumer="alice")
-        second = service.answer(10.0, 70.0, 0.1, 0.5, consumer="carol")
+        second = broker.replay(first, "carol")
         assert second.value == first.value  # replayed, not re-noised
         entries = broker.journal.entries()
         assert [e.kind for e in entries] == ["release", "replay"]

@@ -4,8 +4,7 @@
 scalar ``answer()`` loop: same deterministic estimates (bit for bit),
 same noise stream, same ledger transactions, same accountant entries,
 same per-consumer policy counters -- only faster.  These tests pin that
-contract, including the memoized-answer cache (hits cost ε′ = 0) and the
-atomic batch admission semantics.
+contract and the atomic batch admission semantics.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from repro.privacy.budget import BudgetAccountant
 SPEC = AccuracySpec(alpha=0.12, delta=0.5)
 
 
-def make_service(seed=11, memoize=False, policy=None, capacity=None):
+def make_service(seed=11, policy=None, capacity=None):
     values = np.random.default_rng(4).uniform(0, 100, 5000)
     service = PrivateRangeCountingService.from_values(values, k=8, seed=seed)
-    service.broker.memoize_answers = memoize
     if policy is not None:
         service.broker.policy = policy
     if capacity is not None:
@@ -40,11 +38,9 @@ def make_queries():
     ]
 
 
-def run_both(memoize):
+def run_both():
     """Answer the same workload on two identical stacks, scalar vs batch."""
-    scalar_svc, batch_svc = make_service(memoize=memoize), make_service(
-        memoize=memoize
-    )
+    scalar_svc, batch_svc = make_service(), make_service()
     queries = make_queries()
     scalar = [
         scalar_svc.broker.answer(q, SPEC, consumer="carol") for q in queries
@@ -54,9 +50,8 @@ def run_both(memoize):
 
 
 class TestBitIdenticalAnswers:
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_answers_match_scalar_loop(self, memoize):
-        _, _, scalar, batch = run_both(memoize)
+    def test_answers_match_scalar_loop(self):
+        _, _, scalar, batch = run_both()
         for s, b in zip(scalar, batch):
             assert b.sample_estimate == s.sample_estimate
             assert b.raw_value == s.raw_value
@@ -66,40 +61,30 @@ class TestBitIdenticalAnswers:
             assert b.transaction_id == s.transaction_id
             assert b.consumer == s.consumer
 
-    def test_in_batch_duplicate_is_cache_hit_when_memoized(self):
-        svc = make_service(memoize=True)
-        batch = svc.broker.answer_batch(make_queries(), SPEC, consumer="c")
-        assert batch[4].raw_value == batch[1].raw_value
-        # Only four fresh releases were charged, as in the scalar loop.
-        assert len(svc.broker.accountant.history("default")) == 4
-
     def test_duplicates_fresh_when_not_memoized(self):
-        svc = make_service(memoize=False)
+        svc = make_service()
         batch = svc.broker.answer_batch(make_queries(), SPEC, consumer="c")
         assert batch[4].raw_value != batch[1].raw_value
         assert len(svc.broker.accountant.history("default")) == 5
 
 
 class TestAccountingParity:
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_ledger_transactions_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    def test_ledger_transactions_identical(self):
+        scalar_svc, batch_svc, _, _ = run_both()
         assert (
             batch_svc.broker.ledger.transactions
             == scalar_svc.broker.ledger.transactions
         )
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_accountant_history_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    def test_accountant_history_identical(self):
+        scalar_svc, batch_svc, _, _ = run_both()
         assert batch_svc.broker.accountant.history(
             "default"
         ) == scalar_svc.broker.accountant.history("default")
         assert batch_svc.privacy_spent() == scalar_svc.privacy_spent()
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_policy_counters_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    def test_policy_counters_identical(self):
+        scalar_svc, batch_svc, _, _ = run_both()
         for svc_pair in ((scalar_svc, batch_svc),):
             a, b = svc_pair
             assert b.broker.policy.purchases_by(

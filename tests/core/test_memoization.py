@@ -1,4 +1,10 @@
-"""Unit tests for answer memoization (the repeated-query DP defense)."""
+"""Replaying released answers defeats the averaging adversary.
+
+The serving gateway's answer cache re-releases a published value to every
+later buyer of the same ``(range, α, δ)`` at ε′ = 0 (post-processing).
+Against that cache the Example 4.1 adversary pays m prices for m copies
+of one number: zero variance reduction.
+"""
 
 from __future__ import annotations
 
@@ -10,92 +16,35 @@ from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.pricing.functions import PowerLawVariancePricing
 from repro.pricing.variance_model import VarianceModel
-
-
-def make_service(memoize=True, pricing=None, seed=5):
-    values = np.random.default_rng(seed).uniform(0, 100, 3000)
-    service = PrivateRangeCountingService.from_values(
-        values, k=6, dataset="default", seed=seed, pricing=pricing
-    )
-    service.broker.memoize_answers = memoize
-    return service
-
-
-QUERY_ARGS = dict(low=20.0, high=70.0, alpha=0.15, delta=0.5)
-
-
-class TestMemoization:
-    def test_identical_queries_get_identical_answers(self):
-        service = make_service()
-        first = service.answer(**QUERY_ARGS)
-        second = service.answer(**QUERY_ARGS)
-        assert second.value == first.value
-        assert second.raw_value == first.raw_value
-
-    def test_repeat_costs_no_privacy(self):
-        service = make_service()
-        first = service.answer(**QUERY_ARGS)
-        for _ in range(10):
-            service.answer(**QUERY_ARGS)
-        assert service.privacy_spent() == pytest.approx(first.epsilon_prime)
-
-    def test_repeat_still_billed(self):
-        service = make_service()
-        service.answer(**QUERY_ARGS)
-        service.answer(**QUERY_ARGS)
-        assert len(service.broker.ledger) == 2
-        assert service.broker.ledger.total_revenue() == pytest.approx(
-            2 * service.quote(QUERY_ARGS["alpha"], QUERY_ARGS["delta"])
-        )
-
-    def test_different_queries_not_conflated(self):
-        service = make_service()
-        a = service.answer(**QUERY_ARGS)
-        b = service.answer(low=20.0, high=71.0, alpha=0.15, delta=0.5)
-        c = service.answer(low=20.0, high=70.0, alpha=0.2, delta=0.5)
-        assert service.privacy_spent() == pytest.approx(
-            a.epsilon_prime + b.epsilon_prime + c.epsilon_prime
-        )
-
-    def test_consumer_attribution_preserved(self):
-        service = make_service()
-        service.answer(**QUERY_ARGS, consumer="alice")
-        repeat = service.answer(**QUERY_ARGS, consumer="bob")
-        assert repeat.consumer == "bob"
-        assert service.broker.ledger.spend_of("bob") > 0
-
-    def test_disabled_by_default(self):
-        service = make_service(memoize=False)
-        first = service.answer(**QUERY_ARGS)
-        second = service.answer(**QUERY_ARGS)
-        # Fresh noise almost surely differs.
-        assert second.raw_value != first.raw_value
-        assert service.privacy_spent() == pytest.approx(
-            first.epsilon_prime + second.epsilon_prime
-        )
+from repro.serving import ServingConfig
 
 
 class TestMemoizationDefeatsAveraging:
     def test_attack_gains_nothing_from_identical_answers(self):
-        """Against a memoizing broker, the Example 4.1 adversary pays m
-        prices for m copies of one number: zero variance reduction."""
         values = np.random.default_rng(3).uniform(0, 100, 3000)
         pricing = PowerLawVariancePricing(
             VarianceModel(n=3000), exponent=2.0, base_price=1e10
         )
-        service = make_service(memoize=True, pricing=pricing, seed=3)
-        adversary = ArbitrageConsumer(name="eve")
-        outcome = adversary.attempt(
-            service.broker,
-            RangeQuery(low=20.0, high=70.0, dataset="default"),
-            AccuracySpec(alpha=0.05, delta=0.8),
+        service = PrivateRangeCountingService.from_values(
+            values, k=6, dataset="default", seed=3, pricing=pricing
         )
-        # The money arbitrage may still "succeed" on price, but the
-        # statistical benefit is gone: all purchased answers are equal, so
-        # the averaged estimate is just one cheap high-variance answer.
-        if outcome.attack is not None:
-            purchases = service.broker.ledger.purchases_of("eve")
-            assert len(purchases) == outcome.purchases
-            assert service.privacy_spent() == pytest.approx(
-                max(t.epsilon_prime for t in purchases)
-            )
+        adversary = ArbitrageConsumer(name="eve")
+        target = AccuracySpec(alpha=0.05, delta=0.8)
+        attack = adversary.plan_attack(service.broker, target)
+        # The power-law s=2 sheet is attackable: money arbitrage exists.
+        assert attack is not None and attack.copies > 1
+        cheap = AccuracySpec(alpha=attack.purchase[0], delta=attack.purchase[1])
+        query = RangeQuery(low=20.0, high=70.0, dataset="default")
+        with service.serve(ServingConfig(batch_window=0.001)) as gateway:
+            answers = [
+                gateway.submit(query, cheap, consumer="eve").result(timeout=10.0)
+                for _ in range(attack.copies)
+            ]
+        # Every copy is billed, but the statistical benefit is gone: all
+        # purchased answers are equal and only the first one leaked.
+        purchases = service.broker.ledger.purchases_of("eve")
+        assert len(purchases) == attack.copies
+        assert len({a.raw_value for a in answers}) == 1
+        assert service.privacy_spent() == pytest.approx(
+            max(t.epsilon_prime for t in purchases)
+        )

@@ -26,9 +26,9 @@ TELEMETRY = "src/repro/serving/telemetry.py"
 MUTATION_RL001I = {
     BROKER: [
         (
-            "            noise = sample_laplace_many(scales, self.rng)\n"
-            "            raw_values = estimates + noise\n",
-            "            raw_values = self._release_values(estimates, scales)\n",
+            "        noise = sample_laplace_many(scales, self.rng)\n"
+            "        raw_values = estimates + noise\n",
+            "        raw_values = self._release_values(estimates, scales)\n",
         ),
         (
             "    def answer_batch(",
@@ -301,9 +301,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "            released = np.clip(raw_values, 0.0, float(self.base_station.n))",
-                "            bounded = raw_values\n"
-                "            released = np.clip(bounded, 0.0, float(self.base_station.n))",
+                "        released = np.clip(raw_values, 0.0, float(self.base_station.n))",
+                "        bounded = raw_values\n"
+                "        released = np.clip(bounded, 0.0, float(self.base_station.n))",
             ),
         ]
     }

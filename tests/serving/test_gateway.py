@@ -152,8 +152,10 @@ class TestCaching:
             first = gateway.answer(0.0, 50.0, ALPHA, DELTA, consumer="alice")
             spent_after_first = service.privacy_spent()
             second = gateway.answer(0.0, 50.0, ALPHA, DELTA, consumer="bob")
-        # Same released value, billed again, zero extra ε.
+        # Same released value, billed again to its new buyer, zero extra ε.
         assert second.value == first.value
+        assert second.consumer == "bob"
+        assert service.broker.ledger.spend_of("bob") > 0
         assert service.privacy_spent() == pytest.approx(spent_after_first)
         transactions = service.broker.ledger.transactions
         assert len(transactions) == 2

@@ -18,6 +18,7 @@ from repro.privacy.budget import BudgetAccountant
 from repro.pricing.functions import InverseVariancePricing
 from repro.pricing.variance_model import VarianceModel
 from repro.streaming.broker import StreamingBroker, StreamingStation
+from repro.streaming.runtime import StreamingConfig, build_streaming_cluster
 from repro.streaming.window import EpochSummary
 
 FLOOR = AccuracySpec(alpha=0.15, delta=0.5)
@@ -104,6 +105,31 @@ class TestAnswering:
         )
         with pytest.raises(InsufficientSamplesError):
             broker.answer(RangeQuery(low=0.0, high=1.0, dataset="stream"), FLOOR)
+
+    def test_releases_meet_the_sold_accuracy(self):
+        """Def 2.2 on the window: over 40 seeded pipelines the released
+        count is within ``α·n`` of the window truth in at least a ``δ``
+        share of them."""
+        low, high, per_epoch, seeds = 20.0, 70.0, 600, 40
+        hits = 0
+        for seed in range(seeds):
+            cluster = build_streaming_cluster(StreamingConfig(
+                shards=2, devices_per_shard=2, window_epochs=2, floor=FLOOR,
+                seed=seed,
+            ))
+            rng = np.random.default_rng(seed)
+            truth = 0
+            for epoch in range(2):
+                values = rng.uniform(0.0, 100.0, per_epoch)
+                cluster.ingest(values, epoch + np.arange(per_epoch) / per_epoch)
+                cluster.roll()
+                truth += int(np.count_nonzero((values >= low) & (values <= high)))
+            n = cluster.station.snapshot().record_count
+            answer = cluster.broker.answer(
+                RangeQuery(low=low, high=high, dataset="stream"), FLOOR, "c"
+            )
+            hits += abs(answer.value - truth) <= FLOOR.alpha * n
+        assert hits >= FLOOR.delta * seeds
 
 
 class TestAdmission:

@@ -1,9 +1,10 @@
-"""Cross-feature integration: persistence + continuous + audit + catalog.
+"""Cross-feature integration: persistence + streaming + audit + catalog.
 
 Scenarios that thread several extensions together, the way a deployment
-would: state survives process restarts, monitors persist their ledgers,
-audits run over catalog purchases, and the tree collector's output feeds
-the same broker pipeline.
+would: state survives process restarts, a standing streaming query and
+ad-hoc purchases share one privacy budget, audits run over catalog
+purchases, and the tree collector's output feeds the same broker
+pipeline.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import pytest
 
 from repro.core.audit import audit_answer
 from repro.core.catalog import DataCatalog
-from repro.core.continuous import ContinuousMonitor
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.datasets.citypulse import generate_citypulse
 from repro.estimators.rank import RankCountingEstimator
 from repro.io import load_ledger, load_samples, save_ledger, save_samples
 from repro.privacy.budget import BudgetAccountant
+from repro.streaming import StreamingConfig, build_streaming_cluster
 
 
 class TestRestartSurvival:
@@ -59,7 +60,8 @@ class TestRestartSurvival:
 class TestMonitorWithSharedAccountant:
     def test_monitor_and_broker_share_one_budget(self, citypulse_small):
         """One accountant governs both ad-hoc queries and the standing
-        monitor: the cap binds their *combined* leakage."""
+        query on a streaming window: the cap binds their *combined*
+        leakage."""
         from repro.core.service import PrivateRangeCountingService
         from repro.errors import PrivacyBudgetExceededError
 
@@ -69,22 +71,24 @@ class TestMonitorWithSharedAccountant:
             values, k=6, dataset="ozone", seed=21
         )
         service.broker.accountant = accountant
-        monitor = ContinuousMonitor(
-            query=RangeQuery(low=70.0, high=110.0, dataset="ozone"),
-            spec=AccuracySpec(alpha=0.15, delta=0.5),
-            k=4,
-            accountant=accountant,
-            rng=np.random.default_rng(5),
-        )
-        monitor.ingest_window(values[:800])
+        floor = AccuracySpec(alpha=0.15, delta=0.5)
+        cluster = build_streaming_cluster(StreamingConfig(
+            shards=2, devices_per_shard=2, window_epochs=2, floor=floor,
+            dataset="ozone", seed=5,
+        ))
+        cluster.broker.accountant = accountant
+        cluster.ingest(values[:800], np.arange(800) / 800.0)
+        cluster.roll()
+        standing = RangeQuery(low=70.0, high=110.0, dataset="ozone")
 
-        service.answer(70.0, 110.0, alpha=0.2, delta=0.4)
-        monitor.release()
-        combined = accountant.spent("ozone")
-        assert combined > 0
+        adhoc = service.answer(70.0, 110.0, alpha=0.2, delta=0.4)
+        release = cluster.broker.answer(standing, floor, "monitor")
+        assert accountant.spent("ozone") == pytest.approx(
+            adhoc.epsilon_prime + release.epsilon_prime
+        )
         with pytest.raises(PrivacyBudgetExceededError):
             for _ in range(10_000):
-                monitor.release()
+                cluster.broker.answer(standing, floor, "monitor")
         assert accountant.spent("ozone") <= 0.05 + 1e-12
 
 

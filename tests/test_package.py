@@ -109,7 +109,6 @@ class TestTopLevelSurface:
         from repro import (  # noqa: F401
             AccuracySpec,
             ArbitrageConsumer,
-            ContinuousMonitor,
             DataBroker,
             Marketplace,
             PrivateRangeCountingService,
